@@ -9,8 +9,8 @@
 
 use std::fmt::Write as _;
 
-/// Seconds one run measures (the driver passes it as `--seconds`).
-pub const RUN_SECONDS: u64 = 20;
+/// Seconds one run measures (passed to each run as `--seconds`).
+pub const RUN_SECONDS: u64 = 25;
 
 /// The command that runs the benchmark from the repository root.
 pub const COMMAND: [&str; 2] = ["bash", "e2ebench/run.sh"];
@@ -103,9 +103,9 @@ use Better::{Higher, Lower};
 
 /// End-to-end metrics, printed by every untraced run (`--trace 0`).
 /// The bounds are set against the run-to-run spread of the same code on
-/// a shared 2-vCPU host, whose speed drifts by up to a fifth within
-/// minutes: every timed figure gets the widest bound the format allows,
-/// memory (which does not drift) a tighter one.
+/// a shared 2-vCPU host, whose speed drifts by a fifth within minutes:
+/// every timed figure gets the widest bound the format allows, memory
+/// (which does not drift) a tighter one.
 pub const END_TO_END: [Metric; 9] = [
     e2e("replicas_per_s", "1/s", Higher, 0.25),
     e2e("jobs_per_s", "1/s", Higher, 0.25),
