@@ -6,7 +6,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// A response: status, raw head and decoded body.
+/// A response: status, decoded body, and when its first byte arrived.
 #[derive(Debug)]
 pub struct Response {
     /// Status code.
