@@ -6,6 +6,10 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+/// The largest response body accepted: the sizes in a response come
+/// from the program under test, so they are bounded before allocating.
+const MAX_BODY: usize = 64 << 20;
+
 /// A response: status, decoded body, and when its first byte arrived.
 #[derive(Debug)]
 pub struct Response {
@@ -107,19 +111,25 @@ impl Conn {
                     break;
                 }
                 let at = body.len();
+                if at + size > MAX_BODY {
+                    return Err(bad(format!("body over {MAX_BODY} bytes")));
+                }
                 body.resize(at + size, 0);
                 reader.read_exact(&mut body[at..])?;
                 first_byte.get_or_insert_with(Instant::now);
                 read_line(reader, &mut line)?;
             }
         } else if let Some(n) = length {
+            if n > MAX_BODY {
+                return Err(bad(format!("content-length {n} over {MAX_BODY} bytes")));
+            }
             body.resize(n, 0);
             reader.read_exact(&mut body)?;
             if n > 0 {
                 first_byte = Some(Instant::now());
             }
         } else {
-            reader.read_to_end(&mut body)?;
+            reader.take(MAX_BODY as u64).read_to_end(&mut body)?;
             keep = false;
         }
         Ok((
