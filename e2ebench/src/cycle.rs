@@ -2,6 +2,8 @@
 //! point, and the seeded choices it makes.
 
 use crate::report::{Samples, Tally};
+use seg_grid::rng::Xoshiro256pp;
+use std::path::Path;
 use std::time::Instant;
 
 /// How many requests of each shape one cycle sends.
@@ -50,36 +52,15 @@ impl Digest {
     }
 }
 
-/// SplitMix64: the benchmark's own input generator. Inputs depend only
-/// on `--seed`, never on the program under test.
-#[derive(Clone, Debug)]
-pub struct SplitMix(u64);
-
-impl SplitMix {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix {
-        SplitMix(seed)
-    }
-
-    /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform index below `n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
 /// The master seed of fresh job `index` of a run seeded with `seed`.
 /// Kept below 2^53 so it survives a JSON number (an `f64`) unchanged.
 pub fn job_seed(seed: u64, index: u64) -> u64 {
-    SplitMix::new(seed ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03)).next_u64() >> 11
+    Xoshiro256pp::seed_from_u64(seed ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03)).next_u64() >> 11
+}
+
+/// A uniform index below `n` (`n > 0`).
+fn pick(rng: &mut Xoshiro256pp, n: usize) -> usize {
+    rng.next_below(n as u64) as usize
 }
 
 /// What a fresh job measured.
@@ -104,10 +85,16 @@ pub trait Client {
     fn resubmit(&mut self, job: &Self::Job, tally: &mut Tally) -> Option<f64>;
     /// Re-streams a finished job's rows; `(rows, seconds)`.
     fn restream(&mut self, job: &Self::Job, tally: &mut Tally) -> Option<(usize, f64)>;
+    /// A start-up probe run after each cycle, outside its timing, for a
+    /// workload whose fresh jobs do not show their own set-up; seconds.
+    fn setup(&mut self, _tally: &mut Tally) -> Option<f64> {
+        None
+    }
 }
 
 /// Runs cycles until `deadline`: one fresh job, then the [`Mix`]'s
-/// resubmits and re-streams of finished jobs picked by `rng`. `slot` is
+/// resubmits and re-streams of finished jobs picked by `rng`, then the
+/// client's set-up probe, if it has one. `slot` is
 /// `(this client, clients)`: client `c` of `k` submits fresh jobs
 /// `c, c + k, c + 2k, …`, so clients sharing a seed never submit the
 /// same job, and each cycle's jobs/s sample is `k` over its wall time.
@@ -115,7 +102,7 @@ pub fn closed_loop<C: Client>(
     client: &mut C,
     mix: Mix,
     (first, clients): (u64, u64),
-    rng: &mut SplitMix,
+    rng: &mut Xoshiro256pp,
     deadline: Instant,
     samples: &mut Samples,
     tally: &mut Tally,
@@ -137,11 +124,11 @@ pub fn closed_loop<C: Client>(
             continue;
         }
         for _ in 0..mix.resubmits {
-            let job = &jobs[rng.below(jobs.len())];
+            let job = &jobs[pick(rng, jobs.len())];
             samples.cache_hit_s.extend(client.resubmit(job, tally));
         }
         for _ in 0..mix.restreams {
-            let job = &jobs[rng.below(jobs.len())];
+            let job = &jobs[pick(rng, jobs.len())];
             if let Some((rows, secs)) = client.restream(job, tally) {
                 samples.restream_rows_per_s.push(rows as f64 / secs);
             }
@@ -149,6 +136,7 @@ pub fn closed_loop<C: Client>(
         samples
             .jobs_per_s
             .push(clients as f64 / cycle.elapsed().as_secs_f64());
+        samples.setup_s.extend(client.setup(tally));
     }
     jobs
 }
@@ -160,7 +148,7 @@ pub fn rows_in(bytes: &[u8]) -> usize {
 
 /// Re-reads a finished job's rows file: `(rows, seconds)`, checking the
 /// bytes against what the job first wrote.
-pub fn reread(path: &std::path::Path, expected: Digest, tally: &mut Tally) -> Option<(usize, f64)> {
+pub fn reread(path: &Path, expected: Digest, tally: &mut Tally) -> Option<(usize, f64)> {
     let started = Instant::now();
     let read = std::fs::read(path);
     let secs = started.elapsed().as_secs_f64();
@@ -215,9 +203,9 @@ mod tests {
         assert_ne!(job_seed(7, 3), job_seed(7, 4));
         assert_ne!(job_seed(7, 3), job_seed(8, 3));
         assert!((0..1000).all(|i| job_seed(u64::MAX, i) < 1 << 53));
-        let mut a = SplitMix::new(1);
-        let mut b = SplitMix::new(1);
-        assert!((0..100).all(|_| a.below(5) == b.below(5)));
+        let mut a = Xoshiro256pp::seed_from_u64(1);
+        let mut b = Xoshiro256pp::seed_from_u64(1);
+        assert!((0..100).all(|_| pick(&mut a, 5) == pick(&mut b, 5)));
     }
 
     #[test]

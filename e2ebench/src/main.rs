@@ -20,6 +20,7 @@ mod manifest;
 mod report;
 mod serve;
 mod shard;
+mod spawn;
 mod stats;
 mod sweeps;
 mod trace;
@@ -35,7 +36,7 @@ pub struct Run {
     pub seconds: u64,
     /// Scratch directory inside the checkout, removed at exit.
     pub work: PathBuf,
-    /// The `segsim` binary (`shard_local` only).
+    /// The `segsim` binary, for the start-up probes and `shard_local`.
     pub segsim: PathBuf,
 }
 
@@ -125,7 +126,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.workload == "shard_local" && !args.segsim.is_file() {
+    if !args.segsim.is_file() {
         eprintln!("e2ebench: no segsim binary at {}", args.segsim.display());
         return ExitCode::FAILURE;
     }

@@ -1,9 +1,7 @@
 //! `serve_mixed`: an in-process `seg_serve::Server` driven by two
 //! closed-loop HTTP clients, each on its own keep-alive connection.
 
-use crate::cycle::{
-    check_rows, closed_loop, job_seed, rows_in, Client, Digest, Fresh, Mix, SplitMix,
-};
+use crate::cycle::{check_rows, closed_loop, job_seed, rows_in, Client, Digest, Fresh, Mix};
 use crate::host::{peak_rss_mb, Who};
 use crate::http::{bool_field, str_field, Conn};
 use crate::report::{end_to_end, Layers, Samples, Tally, Value};
@@ -11,8 +9,11 @@ use crate::stats::{median, ratio};
 use crate::trace::{check_lines, fill, result_lines, run_traced, Pool, Spans};
 use crate::Run;
 use seg_engine::{Engine, Observer, StreamingSink, SweepSpec};
+use seg_grid::rng::Xoshiro256pp;
 use seg_serve::{Json, ServeConfig, Server, SweepRequest};
+use std::io::BufRead;
 use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -27,8 +28,8 @@ const MIX: Mix = Mix {
     resubmits: 4,
     restreams: 2,
 };
-/// Server start-ups measured per run; the figure is their median.
-const SETUP_REPS: usize = 7;
+/// `segsim serve` start-ups measured per run; the figure is their median.
+const SETUP_REPS: usize = 9;
 /// Jobs compared byte for byte against an in-process run per client.
 const CHECKED_JOBS_PER_CLIENT: usize = 1;
 /// Jobs per client re-run in-process and traced in the traced run.
@@ -64,20 +65,95 @@ fn start(data_dir: &Path) -> Result<(Instance, f64), String> {
     .map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
-    let mut conn = Conn::new(&addr);
+    let setup = healthy(&addr, started)?;
+    Ok((Instance { addr, handle }, setup))
+}
+
+/// Seconds from `started` until the server at `addr` answers `/healthz`
+/// with `200`, polled every [`crate::spawn::POLL`].
+fn healthy(addr: &str, started: Instant) -> Result<f64, String> {
+    let mut conn = Conn::new(addr);
     loop {
         if let Ok(r) = conn.request("GET", "/healthz", "") {
             if r.status == 200 {
-                break;
+                return Ok(started.elapsed().as_secs_f64());
             }
         }
         if started.elapsed() > Duration::from_secs(30) {
             return Err("server never became healthy".into());
         }
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::sleep(crate::spawn::POLL);
     }
-    let setup = started.elapsed().as_secs_f64();
-    Ok((Instance { addr, handle }, setup))
+}
+
+/// One start-up of `segsim serve` as a user runs it: the seconds from
+/// spawning the process until its first `200` from `/healthz`, taken
+/// from outside. The server is then shut down and waited for.
+fn setup_once(exe: &Path, data_dir: &Path, tally: &mut Tally) -> Option<f64> {
+    let started = Instant::now();
+    let mut child = match Command::new(exe)
+        .args(["serve", "--addr", "127.0.0.1:0", "--data"])
+        .arg(data_dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+    {
+        Ok(c) => c,
+        Err(e) => {
+            tally.fail(format!("spawn {}: {e}", exe.display()));
+            return None;
+        }
+    };
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let secs = listening_addr(&mut stdout).and_then(|addr| {
+        let secs = healthy(&addr, started)?;
+        match Conn::new(&addr).request("POST", "/v1/shutdown", "") {
+            Ok(r) if r.status == 200 => Ok(secs),
+            _ => Err("shutdown refused".into()),
+        }
+    });
+    let stopped = reap(&mut child, secs.is_ok());
+    match (secs, stopped) {
+        (Ok(secs), Ok(())) => {
+            tally.ops(1, 0);
+            Some(secs)
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            tally.fail(format!("segsim serve start-up: {e}"));
+            None
+        }
+    }
+}
+
+/// The address `segsim serve` prints once it listens.
+fn listening_addr(stdout: &mut impl BufRead) -> Result<String, String> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match stdout.read_line(&mut line) {
+            Ok(0) => return Err("exited before listening".into()),
+            Ok(_) => {
+                if let Some(addr) = line.trim().strip_prefix("serve: listening on http://") {
+                    return Ok(addr.to_string());
+                }
+            }
+            Err(e) => return Err(e.to_string()),
+        }
+    }
+}
+
+/// Waits for `child` to end, killing it first unless it was asked to
+/// stop; `Err` unless it stopped cleanly when asked.
+fn reap(child: &mut Child, asked: bool) -> Result<(), String> {
+    if !asked {
+        let _ = child.kill();
+    }
+    match child.wait() {
+        Ok(status) if status.success() || !asked => Ok(()),
+        Ok(status) => Err(format!("exited {status}")),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 fn stop(instance: Instance, tally: &mut Tally) {
@@ -288,7 +364,7 @@ fn drive(
                         seed: run.seed,
                         stats: Stats::default(),
                     };
-                    let mut rng = SplitMix::new(run.seed ^ (c + 1));
+                    let mut rng = Xoshiro256pp::seed_from_u64(run.seed ^ (c + 1));
                     let mut samples = Samples::default();
                     let mut tally = Tally::default();
                     let jobs = closed_loop(
@@ -366,13 +442,7 @@ fn in_process(job: &Job, dir: &Path, tally: &mut Tally) -> Option<(seg_engine::S
 fn setups(run: &Run, samples: &mut Samples, tally: &mut Tally) {
     for i in 0..SETUP_REPS {
         let dir = run.work.join(format!("setup{i}"));
-        match start(&dir) {
-            Ok((instance, secs)) => {
-                samples.setup_s.push(secs);
-                stop(instance, tally);
-            }
-            Err(e) => tally.fail(format!("setup: {e}")),
-        }
+        samples.setup_s.extend(setup_once(&run.segsim, &dir, tally));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

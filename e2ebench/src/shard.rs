@@ -3,15 +3,16 @@
 //! spawned one by one in the traced run.
 
 use crate::cycle::{
-    check_rows, closed_loop, job_seed, reread, rows_in, Client, Digest, Fresh, Mix, SplitMix,
+    check_rows, closed_loop, job_seed, reread, rows_in, Client, Digest, Fresh, Mix,
 };
 use crate::host::{peak_rss_mb, Who};
 use crate::report::{end_to_end, Layers, Samples, Tally, Value};
+use crate::spawn::{segsim, wait_written};
 use crate::trace::{check_lines, fill, result_lines, run_traced, Pool, Spans};
 use crate::Run;
 use seg_engine::{shard_journal_path, Engine, Observer, ShardIndex, SweepSpec};
+use seg_grid::rng::Xoshiro256pp;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Worker processes, one engine thread each (the host's `nproc`).
@@ -59,55 +60,6 @@ fn spec_of(seed: u64, index: u64) -> SweepSpec {
         .build()
 }
 
-/// Runs `segsim args…` to completion; `Err` carries its stderr.
-/// `on_spawn` runs while the process is alive (the setup probe).
-fn segsim<F: FnOnce() -> Option<f64>>(
-    exe: &Path,
-    args: &[String],
-    log: &Path,
-    on_spawn: F,
-) -> Result<Option<f64>, String> {
-    let stderr = std::fs::File::create(log).map_err(|e| e.to_string())?;
-    let mut child = Command::new(exe)
-        .args(args)
-        .stdout(Stdio::null())
-        .stderr(stderr)
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
-    let probed = on_spawn();
-    let status = child.wait().map_err(|e| e.to_string())?;
-    if status.success() {
-        Ok(probed)
-    } else {
-        let text = std::fs::read_to_string(log).unwrap_or_default();
-        let tail: Vec<&str> = text.lines().rev().take(5).collect();
-        Err(format!(
-            "segsim {} exited {status}: {}",
-            args[0],
-            tail.join(" | ")
-        ))
-    }
-}
-
-/// Seconds from `started` until both shard journals under `base` hold
-/// their header — the point where each worker can run its first
-/// replica. Polled from outside every half millisecond.
-fn wait_for_journals(base: &Path, started: Instant) -> Option<f64> {
-    let journals: Vec<PathBuf> = (0..WORKERS)
-        .map(|i| shard_journal_path(base, ShardIndex::new(i, WORKERS)))
-        .collect();
-    while started.elapsed() < Duration::from_secs(60) {
-        if journals
-            .iter()
-            .all(|j| std::fs::metadata(j).is_ok_and(|m| m.len() > 0))
-        {
-            return Some(started.elapsed().as_secs_f64());
-        }
-        std::thread::sleep(Duration::from_micros(500));
-    }
-    None
-}
-
 struct Job {
     index: u64,
     args: Vec<String>,
@@ -149,9 +101,14 @@ impl Client for ShardClient<'_> {
         }
         let args = self.shard_args(index, &dir);
         let base = dir.join("ck").join("ck.jsonl");
+        // set-up ends when both workers' shard journals hold their
+        // header: each can then run its first replica
+        let journals: Vec<PathBuf> = (0..WORKERS)
+            .map(|i| shard_journal_path(&base, ShardIndex::new(i, WORKERS)))
+            .collect();
         let started = Instant::now();
         let outcome = segsim(self.exe, &args, &dir.join("stderr.log"), || {
-            wait_for_journals(&base, started)
+            wait_written(&journals, started)
         });
         let ttlr = started.elapsed().as_secs_f64();
         let setup = match outcome {
@@ -247,7 +204,7 @@ pub fn measure(run: &Run, tally: &mut Tally) -> Vec<Value> {
         seed: run.seed,
         work: run.work.clone(),
     };
-    let mut rng = SplitMix::new(run.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(run.seed);
     let deadline = Instant::now() + Duration::from_secs(run.seconds);
     let jobs = closed_loop(
         &mut client,

@@ -1,14 +1,16 @@
 //! The in-process sweep workloads: `Engine::run_full` with a checkpoint
 //! journal and a JSONL streaming sink, on two engine threads.
 
-use crate::cycle::{
-    check_rows, closed_loop, job_seed, reread, Client, Digest, Fresh, Mix, SplitMix,
-};
+use crate::cycle::{check_rows, closed_loop, job_seed, reread, Client, Digest, Fresh, Mix};
 use crate::host::{peak_rss_mb, Who};
 use crate::report::{end_to_end, Layers, Samples, Tally, Value};
+use crate::spawn::startup;
 use crate::trace::{check_lines, fill, result_lines, run_traced, Pool, Spans};
 use crate::Run;
-use seg_engine::{Checkpoint, Engine, Observer, StreamingSink, SweepResult, SweepSpec, Variant};
+use seg_engine::{
+    header_line, spec_fingerprint, Engine, Observer, StreamingSink, SweepResult, SweepSpec, Variant,
+};
+use seg_grid::rng::Xoshiro256pp;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -49,6 +51,28 @@ impl Shape {
         }
         b.build()
     }
+
+    /// The `segsim sweep` flags that build [`Shape::spec`]`(seed)`.
+    pub fn flags(&self, seed: u64) -> Vec<String> {
+        let mut f = vec![
+            "--side".to_string(),
+            self.side.to_string(),
+            "--horizon".into(),
+            self.horizon.to_string(),
+            "--tau".into(),
+            self.tau.to_string(),
+            "--variant".into(),
+            self.variants.join(","),
+            "--replicas".into(),
+            self.replicas.to_string(),
+            "--seed".into(),
+            seed.to_string(),
+        ];
+        if let Some(budget) = self.max_events {
+            f.extend(["--max-events".into(), budget.to_string()]);
+        }
+        f
+    }
 }
 
 /// `sweep_dynamics`: the paper process at side 256, w = 8, where flip
@@ -81,8 +105,6 @@ const MIX: Mix = Mix {
 };
 /// Engine threads (the host's `nproc`).
 const THREADS: usize = 2;
-/// Setup measurements per run; the reported figure is their median.
-const SETUP_REPS: usize = 101;
 
 const OBSERVERS: [Observer; 1] = [Observer::TerminalStats];
 
@@ -108,6 +130,8 @@ struct InProcess<'a> {
     seed: u64,
     dir: PathBuf,
     engine: Engine,
+    segsim: PathBuf,
+    probes: u64,
 }
 
 impl InProcess<'_> {
@@ -196,24 +220,57 @@ impl Client for InProcess<'_> {
     fn restream(&mut self, job: &Job, tally: &mut Tally) -> Option<(usize, f64)> {
         reread(&job.rows_path(), job.rows, tally)
     }
+
+    fn setup(&mut self, tally: &mut Tally) -> Option<f64> {
+        // one per cycle, so the samples spread over the whole run
+        // rather than one moment of it
+        self.probes += 1;
+        let dir = self.dir.join("setup");
+        let seed = job_seed(self.seed, u64::MAX - self.probes);
+        setup_once(self.shape, seed, &self.segsim, &dir, tally)
+    }
 }
 
-/// One setup: everything `run_full` needs before its first replica —
-/// the spec, the engine, the stream and the journal.
-fn setup_once(shape: &Shape, seed: u64, dir: &Path) -> Result<f64, String> {
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let started = Instant::now();
-    let spec = shape.spec(seed);
-    let engine = Engine::new().threads(THREADS);
-    let stream =
-        StreamingSink::jsonl(&dir.join("rows.jsonl"), &spec, false).map_err(|e| e.to_string())?;
-    let (_, journal) =
-        Checkpoint::resume(&dir.join("ck.jsonl"), &spec).map_err(|e| e.to_string())?;
-    std::hint::black_box((spec.tasks(), &engine, &stream, &journal));
-    let secs = started.elapsed().as_secs_f64();
-    drop((stream, journal));
-    std::fs::remove_dir_all(dir).map_err(|e| e.to_string())?;
-    Ok(secs)
+/// One start-up of the workload's sweep as a user runs it: `segsim
+/// sweep` with the job's spec, threads, journal and row stream, timed
+/// from the spawn until its journal holds the header — the last step
+/// before `run_full` hands replicas to the pool. The header is checked
+/// against the spec, so the probe is known to run the workload's sweep.
+fn setup_once(shape: &Shape, seed: u64, exe: &Path, dir: &Path, tally: &mut Tally) -> Option<f64> {
+    let ck = dir.join("ck.jsonl");
+    let mut args = vec!["sweep".to_string()];
+    args.extend(shape.flags(seed));
+    args.extend([
+        "--threads".into(),
+        THREADS.to_string(),
+        "--checkpoint".into(),
+        ck.display().to_string(),
+        "--stream".into(),
+        "--out".into(),
+        dir.join("rows.jsonl").display().to_string(),
+    ]);
+    let secs = std::fs::create_dir_all(dir)
+        .map_err(|e| e.to_string())
+        .and_then(|()| startup(exe, &args, &ck));
+    let header = std::fs::read_to_string(&ck).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(dir);
+    match secs {
+        Ok(secs) => {
+            let spec = shape.spec(seed);
+            let expected = header_line(spec_fingerprint(&spec), spec.task_count());
+            tally
+                .check(header.lines().next() == Some(expected.as_str()), || {
+                    format!(
+                        "segsim sweep start-up wrote journal header {header:?}, not {expected:?}"
+                    )
+                })
+                .then_some(secs)
+        }
+        Err(e) => {
+            tally.fail(format!("segsim sweep start-up: {e}"));
+            None
+        }
+    }
 }
 
 fn client<'a>(shape: &'a Shape, run: &Run, dir: &Path) -> InProcess<'a> {
@@ -222,6 +279,8 @@ fn client<'a>(shape: &'a Shape, run: &Run, dir: &Path) -> InProcess<'a> {
         seed: run.seed,
         dir: dir.to_path_buf(),
         engine: Engine::new().threads(THREADS),
+        segsim: run.segsim.clone(),
+        probes: 0,
     }
 }
 
@@ -229,18 +288,9 @@ fn client<'a>(shape: &'a Shape, run: &Run, dir: &Path) -> InProcess<'a> {
 pub fn measure(shape: &Shape, run: &Run, tally: &mut Tally) -> Vec<Value> {
     let mut samples = Samples::default();
     let mut c = client(shape, run, &run.work);
-    let mut rng = SplitMix::new(run.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(run.seed);
     let deadline = Instant::now() + Duration::from_secs(run.seconds);
     closed_loop(&mut c, MIX, (0, 1), &mut rng, deadline, &mut samples, tally);
-    // set-ups are timed after the loop, on a host already running the
-    // workload, so an idle CPU's wake-up is not counted as set-up
-    for i in 0..SETUP_REPS {
-        let dir = run.work.join("setup").join(i.to_string());
-        match setup_once(shape, job_seed(run.seed, u64::MAX - i as u64), &dir) {
-            Ok(s) => samples.setup_s.push(s),
-            Err(e) => tally.fail(format!("setup: {e}")),
-        }
-    }
     let rss = peak_rss_mb(Who::SelfProcess).unwrap_or(f64::NAN);
     end_to_end(&samples, rss, tally)
 }
