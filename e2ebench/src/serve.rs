@@ -11,7 +11,7 @@ use crate::Run;
 use seg_engine::{Engine, Observer, StreamingSink, SweepSpec};
 use seg_grid::rng::Xoshiro256pp;
 use seg_serve::{Json, ServeConfig, Server, SweepRequest};
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
@@ -30,6 +30,8 @@ const MIX: Mix = Mix {
 };
 /// `segsim serve` start-ups measured per run; the figure is their median.
 const SETUP_REPS: usize = 9;
+/// The longest line read from `segsim serve`'s standard output.
+const MAX_LINE: u64 = 4096;
 /// Jobs compared byte for byte against an in-process run per client.
 const CHECKED_JOBS_PER_CLIENT: usize = 1;
 /// Jobs per client re-run in-process and traced in the traced run.
@@ -126,12 +128,13 @@ fn setup_once(exe: &Path, data_dir: &Path, tally: &mut Tally) -> Option<f64> {
     }
 }
 
-/// The address `segsim serve` prints once it listens.
+/// The address `segsim serve` prints once it listens. Lines come from
+/// the program under test, so each is read to a bounded length.
 fn listening_addr(stdout: &mut impl BufRead) -> Result<String, String> {
     let mut line = String::new();
     loop {
         line.clear();
-        match stdout.read_line(&mut line) {
+        match stdout.take(MAX_LINE).read_line(&mut line) {
             Ok(0) => return Err("exited before listening".into()),
             Ok(_) => {
                 if let Some(addr) = line.trim().strip_prefix("serve: listening on http://") {
@@ -561,4 +564,19 @@ pub fn traced(run: &Run, tally: &mut Tally) -> Vec<Value> {
     layers.set("serve.rejected", stats.rejected as f64);
     layers.set("serve.http_errors", stats.http_errors as f64);
     layers.in_manifest_order()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_listening_line_gives_the_address() {
+        let out = "serve: tracing to t.jsonl\nserve: listening on http://127.0.0.1:4242\n";
+        assert_eq!(
+            listening_addr(&mut out.as_bytes()).as_deref(),
+            Ok("127.0.0.1:4242")
+        );
+        assert!(listening_addr(&mut "serve: bind failed\n".as_bytes()).is_err());
+    }
 }
