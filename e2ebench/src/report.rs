@@ -116,10 +116,10 @@ fn tail90(name: &'static str, xs: &[f64], scale: f64, tally: &mut Tally) -> Valu
             value: value * scale,
             basis: format!("p{:.0} of n={n} (>= 10 beyond)", q * 100.0),
         },
-        // ten samples or fewer leave no rank with ten beyond it: the
-        // median stands in, and the basis says so
+        // under 20 samples no rank from the median up has ten beyond
+        // it: the median stands in, and the basis says so
         None => Value {
-            basis: format!("no tail with n={} <= 10, p50 reported", xs.len()),
+            basis: format!("no tail with n={} < 20, p50 reported", xs.len()),
             ..med(name, xs, scale, tally)
         },
     }

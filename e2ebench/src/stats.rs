@@ -23,7 +23,8 @@ pub fn median(samples: &[f64]) -> Option<f64> {
 }
 
 /// A tail figure: the highest nearest-rank percentile, at most the
-/// requested one, that still has [`MIN_BEYOND`] samples ranked above it.
+/// requested one and at least the median, that still has
+/// [`MIN_BEYOND`] samples ranked above it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Tail {
     /// The percentile actually reported, as a fraction (`rank / n`).
@@ -37,13 +38,18 @@ pub struct Tail {
 /// The tail figure aiming at percentile `target`. With `n` samples the
 /// rank is `min(ceil(target·n), n − MIN_BEYOND)`, so `p90` is reached
 /// only from 100 samples on; fewer samples report a lower percentile,
-/// and `q` says which. `None` when no rank has enough samples beyond it.
+/// and `q` says which. `None` when that rank falls below the median's
+/// (fewer than 20 samples): a tail read below the median would swing
+/// between the smallest sample and the median as `n` crosses 10.
 pub fn tail(samples: &[f64], target: f64) -> Option<Tail> {
     let n = samples.len();
     if n <= MIN_BEYOND {
         return None;
     }
     let rank = ((target * n as f64).ceil() as usize).clamp(1, n - MIN_BEYOND);
+    if rank < n.div_ceil(2) {
+        return None;
+    }
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     Some(Tail {
@@ -118,9 +124,13 @@ mod tests {
         // falls back to 30 — the highest with ten above it
         let t = tail(&ramp(40), 0.9).unwrap();
         assert_eq!((t.value, t.q), (30.0, 0.75));
-        // 11 samples: only the lowest rank has ten beyond it
-        let t = tail(&ramp(11), 0.9).unwrap();
-        assert_eq!(t.value, 1.0);
+        // 20 samples: rank 10, the median's, has ten beyond it
+        let t = tail(&ramp(20), 0.9).unwrap();
+        assert_eq!((t.value, t.q), (10.0, 0.5));
+        // 11 to 19 samples: the only ranks with ten beyond lie below
+        // the median, so no tail is reported
+        assert_eq!(tail(&ramp(11), 0.9), None);
+        assert_eq!(tail(&ramp(19), 0.9), None);
         // ten or fewer: no tail can be reported
         assert_eq!(tail(&ramp(10), 0.9), None);
         assert_eq!(tail(&[], 0.9), None);
