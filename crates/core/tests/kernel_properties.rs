@@ -6,11 +6,16 @@
 //! walk). The fused kernel must reproduce those trajectories *bit for
 //! bit*: it performs the same insert/remove sequence on the flippable
 //! set, so every seeded run samples the same agents in the same order.
+//! A second table pins the other 2-D dynamics (the §I-A baselines, the
+//! §V comfort band and Kawasaki swaps) the same way.
 
 use proptest::prelude::*;
+use seg_core::interval::IntervalSim;
 use seg_core::ring::{RingKawasaki, RingSim};
-use seg_core::ModelConfig;
-use seg_grid::AgentType;
+use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
+use seg_core::{Intolerance, ModelConfig, Simulation};
+use seg_grid::rng::Xoshiro256pp;
+use seg_grid::{AgentType, Torus, TypeField};
 
 /// `(n, w, tau, seed, terminated, flips, plus_total)` recorded from the
 /// pre-PR implementation with `run_to_stable(2_000_000)`.
@@ -41,6 +46,107 @@ fn fused_kernel_reproduces_pre_fusion_goldens() {
             (r.terminated, sim.flips(), sim.field().plus_total()),
             (terminated, flips, plus_total),
             "trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
+        );
+    }
+}
+
+/// The 2-D dynamics other than the paper's rule, built as the engine
+/// builds them for a replica.
+#[derive(Clone, Copy, Debug)]
+enum Dynamics {
+    FlipWhenUnhappy,
+    Noise(f64),
+    /// The §V comfort band `[τ, τ_hi]`.
+    TwoSided(f64),
+    Kawasaki,
+}
+
+/// The cap of every [`RULE_GOLDEN`] run: rings for the baselines, flips
+/// for the band, swap attempts for Kawasaki.
+const RULE_BUDGET: u64 = 1_500;
+
+/// `(dynamics, n, w, tau, seed, events, plus_total, unhappy, terminated)`.
+type RuleRow = (Dynamics, u32, u32, f64, u64, u64, usize, usize, bool);
+
+/// [`RuleRow`]s recorded from the separate `VariantSim`, `IntervalSim`
+/// and `KawasakiSim` implementations, each run capped at
+/// [`RULE_BUDGET`]. `events` counts
+/// flips (swaps for Kawasaki); `unhappy` is the unhappy or discontent
+/// count of the final configuration.
+#[rustfmt::skip]
+const RULE_GOLDEN: &[RuleRow] = &[
+    (Dynamics::FlipWhenUnhappy, 32, 1, 0.44, 1, 240, 571, 0, true),
+    (Dynamics::FlipWhenUnhappy, 32, 1, 0.44, 2, 241, 491, 0, true),
+    (Dynamics::FlipWhenUnhappy, 32, 1, 0.44, 3, 197, 508, 0, true),
+    (Dynamics::FlipWhenUnhappy, 48, 2, 0.55, 1, 1500, 1096, 108, false),
+    (Dynamics::FlipWhenUnhappy, 48, 2, 0.55, 2, 1500, 1150, 111, false),
+    (Dynamics::FlipWhenUnhappy, 48, 2, 0.55, 3, 1500, 1016, 132, false),
+    (Dynamics::Noise(0.02), 32, 1, 0.44, 1, 240, 571, 0, true),
+    (Dynamics::Noise(0.02), 32, 1, 0.44, 2, 241, 491, 0, true),
+    (Dynamics::Noise(0.02), 32, 1, 0.44, 3, 197, 508, 0, true),
+    (Dynamics::Noise(0.02), 48, 2, 0.55, 1, 1131, 1005, 96, false),
+    (Dynamics::Noise(0.02), 48, 2, 0.55, 2, 1146, 1236, 123, false),
+    (Dynamics::Noise(0.02), 48, 2, 0.55, 3, 1163, 931, 129, false),
+    (Dynamics::Noise(0.1), 32, 1, 0.44, 1, 240, 571, 0, true),
+    (Dynamics::Noise(0.1), 32, 1, 0.44, 2, 241, 491, 0, true),
+    (Dynamics::Noise(0.1), 32, 1, 0.44, 3, 197, 508, 0, true),
+    (Dynamics::Noise(0.1), 48, 2, 0.55, 1, 1172, 938, 130, false),
+    (Dynamics::Noise(0.1), 48, 2, 0.55, 2, 1176, 1192, 117, false),
+    (Dynamics::Noise(0.1), 48, 2, 0.55, 3, 1186, 1162, 151, false),
+    (Dynamics::TwoSided(0.8), 32, 1, 0.44, 1, 173, 580, 366, true),
+    (Dynamics::TwoSided(0.8), 32, 1, 0.44, 2, 149, 505, 341, true),
+    (Dynamics::TwoSided(0.8), 32, 1, 0.44, 3, 136, 505, 281, true),
+    (Dynamics::TwoSided(0.8), 48, 2, 0.55, 1, 1488, 936, 1816, true),
+    (Dynamics::TwoSided(0.8), 48, 2, 0.55, 2, 1500, 1550, 1807, false),
+    (Dynamics::TwoSided(0.8), 48, 2, 0.55, 3, 1500, 950, 1816, false),
+    (Dynamics::Kawasaki, 32, 1, 0.44, 1, 96, 517, 17, true),
+    (Dynamics::Kawasaki, 32, 1, 0.44, 2, 104, 520, 11, true),
+    (Dynamics::Kawasaki, 32, 1, 0.44, 3, 98, 513, 5, true),
+    (Dynamics::Kawasaki, 48, 2, 0.55, 1, 614, 1156, 89, false),
+    (Dynamics::Kawasaki, 48, 2, 0.55, 2, 658, 1152, 67, false),
+    (Dynamics::Kawasaki, 48, 2, 0.55, 3, 664, 1130, 85, false),
+];
+
+/// Runs one [`RULE_GOLDEN`] row: `(events, plus_total, unhappy, terminated)`.
+fn run_rule(dynamics: Dynamics, n: u32, w: u32, tau: f64, seed: u64) -> (u64, usize, usize, bool) {
+    let nsize = (2 * w + 1) * (2 * w + 1);
+    let baseline = |rule: UpdateRule| {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let field = TypeField::random(Torus::new(n), 0.5, &mut rng);
+        let mut sim = VariantSim::from_field(field, w, Intolerance::new(nsize, tau), rule, rng);
+        sim.run(RULE_BUDGET);
+        let unhappy = sim.unhappy_count();
+        (sim.flips(), sim.field().plus_total(), unhappy, unhappy == 0)
+    };
+    match dynamics {
+        Dynamics::FlipWhenUnhappy => baseline(UpdateRule::FlipWhenUnhappy),
+        Dynamics::Noise(eps) => baseline(UpdateRule::Noise(eps)),
+        Dynamics::TwoSided(tau_hi) => {
+            let mut sim = IntervalSim::random(n, w, tau, tau_hi, seed);
+            let stable = sim.run(RULE_BUDGET);
+            let plus = sim.field().plus_total();
+            (sim.flips(), plus, sim.discontent_count(), stable)
+        }
+        Dynamics::Kawasaki => {
+            let mut k = KawasakiSim::new(ModelConfig::new(n, w, tau).seed(seed).build());
+            k.run(RULE_BUDGET);
+            // recount the final configuration's unhappy agents
+            let intol = Intolerance::new(nsize, tau);
+            let rng = Xoshiro256pp::seed_from_u64(0);
+            let unhappy = Simulation::from_field(k.field().clone(), w, intol, rng).unhappy_count();
+            let stopped_early = k.swaps() + k.failed_attempts() < RULE_BUDGET;
+            (k.swaps(), k.field().plus_total(), unhappy, stopped_early)
+        }
+    }
+}
+
+#[test]
+fn rule_trajectories_reproduce_goldens() {
+    for &(dynamics, n, w, tau, seed, events, plus_total, unhappy, terminated) in RULE_GOLDEN {
+        assert_eq!(
+            run_rule(dynamics, n, w, tau, seed),
+            (events, plus_total, unhappy, terminated),
+            "{dynamics:?} trajectory diverged for n={n} w={w} τ={tau} seed={seed}"
         );
     }
 }
