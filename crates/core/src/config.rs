@@ -1,7 +1,7 @@
 //! Model configuration builder.
 
 use crate::intolerance::Intolerance;
-use crate::sim::Simulation;
+use crate::sim::{GridSim, Rule, Simulation};
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{Torus, TypeField};
 
@@ -106,10 +106,16 @@ impl ModelConfig {
 
     /// Samples the initial configuration and builds the simulation.
     pub fn build(self) -> Simulation {
+        self.build_with(self.intolerance())
+    }
+
+    /// Samples the initial configuration and builds the grid process
+    /// under `rule` (the configured `τ̃` is used only through `rule`).
+    pub fn build_with<R: Rule>(self, rule: R) -> GridSim<R> {
         let torus = Torus::new(self.n);
         let mut rng = Xoshiro256pp::seed_from_u64(self.seed);
         let field = TypeField::random(torus, self.p, &mut rng);
-        Simulation::from_field(field, self.horizon, self.intolerance(), rng)
+        GridSim::new(field, self.horizon, rule, rng)
     }
 
     /// Builds the simulation around a caller-supplied initial

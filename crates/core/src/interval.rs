@@ -8,8 +8,10 @@
 //! argument fails: a flip can decrease alignment), so the runner is
 //! budget-capped and reports whether a stable state was reached.
 
+use crate::config::ModelConfig;
+use crate::sim::{GridSim, Rule};
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{ClassTable, IndexedSet, Point, Torus, TypeField, WindowCounts};
+use seg_grid::TypeField;
 
 /// Integer two-sided comfort thresholds over a neighborhood of size `N`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -64,125 +66,65 @@ impl ComfortBand {
     pub fn is_flippable(&self, same_count: u32) -> bool {
         !self.is_content(same_count) && self.flip_makes_content(same_count)
     }
+}
 
-    /// The class table for the fused flip kernel: tracked = flippable
-    /// under this band, unhappy = discontent.
-    pub fn class_table(&self) -> ClassTable {
-        ClassTable::build_same_count(self.n_size, |s| (self.is_flippable(s), !self.is_content(s)))
+/// Tracked = flippable under the band, unhappy = discontent; no clock.
+impl Rule for ComfortBand {
+    const CLOCKED: bool = false;
+
+    #[inline]
+    fn neighborhood_size(&self) -> u32 {
+        self.n_size
+    }
+
+    #[inline]
+    fn is_tracked(&self, s: u32) -> bool {
+        self.is_flippable(s)
+    }
+
+    #[inline]
+    fn is_unhappy(&self, s: u32) -> bool {
+        !self.is_content(s)
     }
 }
 
-/// The §V two-sided model.
-#[derive(Clone, Debug)]
-pub struct IntervalSim {
-    field: TypeField,
-    counts: WindowCounts,
-    band: ComfortBand,
-    classes: ClassTable,
-    flippable: IndexedSet,
-    /// Incrementally-maintained number of discontent agents.
-    discontent: usize,
-    rng: Xoshiro256pp,
-    flips: u64,
-}
+/// The §V two-sided model: the grid process under a [`ComfortBand`].
+/// Each step flips a uniformly chosen flippable agent.
+pub type IntervalSim = GridSim<ComfortBand>;
 
 impl IntervalSim {
     /// Builds over an explicit field.
+    ///
+    /// # Panics
+    ///
+    /// As [`GridSim::new`].
     pub fn from_field(
         field: TypeField,
         horizon: u32,
         band: ComfortBand,
         rng: Xoshiro256pp,
     ) -> Self {
-        let counts = WindowCounts::new(&field, horizon);
-        assert_eq!(band.n_size, counts.neighborhood_size());
-        let torus = field.torus();
-        let classes = band.class_table();
-        let mut flippable = IndexedSet::new(torus.len());
-        let mut discontent = 0;
-        for i in 0..torus.len() {
-            let c = classes.class(field.get_index(i), counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                flippable.insert(i);
-            }
-            discontent += usize::from(c & ClassTable::UNHAPPY != 0);
-        }
-        IntervalSim {
-            field,
-            counts,
-            band,
-            classes,
-            flippable,
-            discontent,
-            rng,
-            flips: 0,
-        }
+        GridSim::new(field, horizon, band, rng)
     }
 
     /// Samples a Bernoulli(1/2) field and builds the model.
     pub fn random(n: u32, horizon: u32, tau_lo: f64, tau_hi: f64, seed: u64) -> Self {
-        let torus = Torus::new(n);
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let field = TypeField::random(torus, 0.5, &mut rng);
-        let band = ComfortBand::new((2 * horizon + 1) * (2 * horizon + 1), tau_lo, tau_hi);
-        IntervalSim::from_field(field, horizon, band, rng)
-    }
-
-    /// Current configuration.
-    pub fn field(&self) -> &TypeField {
-        &self.field
-    }
-
-    /// The comfort band.
-    pub fn band(&self) -> ComfortBand {
-        self.band
-    }
-
-    /// Flips so far.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// Number of currently flippable (discontent-and-fixable) agents.
-    pub fn flippable_count(&self) -> usize {
-        self.flippable.len()
+        let config = ModelConfig::new(n, horizon, tau_lo).seed(seed);
+        config.build_with(ComfortBand::new(config.neighborhood_size(), tau_lo, tau_hi))
     }
 
     /// Number of discontent agents (either side of the band). Maintained
     /// incrementally by the fused flip kernel, so this is O(1).
     #[inline]
     pub fn discontent_count(&self) -> usize {
-        self.discontent
+        self.unhappy_count()
     }
 
-    /// One step: flips a uniformly chosen flippable agent. `None` when no
-    /// agent can improve (stable for this rule).
-    pub fn step(&mut self) -> Option<Point> {
-        let i = self.flippable.sample(&mut self.rng)?;
-        let at = self.field.torus().from_index(i);
-        let new_type = self.field.flip(at);
-        self.flips += 1;
-        let delta = self.counts.apply_flip_fused(
-            at,
-            new_type,
-            &self.field,
-            &self.classes,
-            &mut self.flippable,
-        );
-        self.discontent = (self.discontent as i64 + delta) as usize;
-        Some(at)
-    }
-
-    /// Runs until no flippable agent remains or the budget is exhausted;
-    /// returns `true` on a stable state. (This rule has no termination
-    /// guarantee — budget exhaustion is a real outcome.)
+    /// Runs until no flippable agent remains or `max_flips` flips have
+    /// been made; returns `true` on a stable state. (This rule has no
+    /// termination guarantee — budget exhaustion is a real outcome.)
     pub fn run(&mut self, max_flips: u64) -> bool {
-        for _ in 0..max_flips {
-            if self.step().is_none() {
-                return true;
-            }
-        }
-        self.flippable.is_empty()
+        self.run_to_stable(max_flips).terminated
     }
 }
 
@@ -244,19 +186,7 @@ mod tests {
     fn bookkeeping_consistent_after_steps() {
         let mut sim = IntervalSim::random(48, 2, 0.4, 0.85, 5);
         sim.run(2_000);
-        // recompute flippable set and discontent total from scratch
-        let t = sim.field().torus();
-        let mut discontent = 0;
-        for i in 0..t.len() {
-            let s = sim.counts.same_count_index(i, sim.field.get_index(i));
-            assert_eq!(
-                sim.band.is_flippable(s),
-                sim.flippable.contains(i),
-                "divergence at {i}"
-            );
-            discontent += usize::from(!sim.band.is_content(s));
-        }
-        assert_eq!(discontent, sim.discontent_count(), "discontent diverged");
+        assert!(sim.audit(), "flippable set or discontent count diverged");
     }
 
     #[test]

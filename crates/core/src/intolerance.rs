@@ -1,6 +1,6 @@
 //! Integer happiness thresholds (§II-A) and flip feasibility.
 
-use seg_grid::ClassTable;
+use crate::sim::Rule;
 
 /// The intolerance parameter in its exact integer form.
 ///
@@ -104,17 +104,26 @@ impl Intolerance {
     pub fn is_super_unhappy(&self, same_count: u32) -> bool {
         self.is_flippable(same_count)
     }
+}
 
-    /// The per-type lookup table `class[type][plus_count] → {flippable,
-    /// happy, stuck}` consumed by the fused flip kernel
-    /// ([`seg_grid::WindowCounts::apply_flip_fused`]): tracked = flippable
-    /// under the paper's rule, unhappy = `S < τN`.
-    pub fn class_table(&self) -> ClassTable {
-        ClassTable::build_same_count(self.n_size, |s| {
-            // s = 0 is unreachable (an agent counts itself); guard it so
-            // building the table never evaluates flip arithmetic on it
-            (s >= 1 && self.is_flippable(s), !self.is_happy(s))
-        })
+/// The paper's rule: an unhappy agent flips iff the flip makes it happy,
+/// in continuous time.
+impl Rule for Intolerance {
+    const CLOCKED: bool = true;
+
+    #[inline]
+    fn neighborhood_size(&self) -> u32 {
+        self.n_size
+    }
+
+    #[inline]
+    fn is_tracked(&self, s: u32) -> bool {
+        self.is_flippable(s)
+    }
+
+    #[inline]
+    fn is_unhappy(&self, s: u32) -> bool {
+        !self.is_happy(s)
     }
 }
 

@@ -11,8 +11,10 @@
 //!
 //! - [`config`] / [`intolerance`] — model parameters; integer happiness
 //!   thresholds (`τ = ⌈τ̃N⌉/N`), flip feasibility, super-unhappiness;
-//! - [`sim`] — [`sim::Simulation`]: event-driven dynamics with exponential
-//!   waiting times, O(N) per flip, exact termination detection;
+//! - [`sim`] — [`sim::GridSim`], the one 2-D Glauber simulator, and
+//!   [`sim::Simulation`], the paper's rule on it: event-driven dynamics
+//!   with exponential waiting times, O(N) per flip, exact termination
+//!   detection;
 //! - [`lyapunov`] — the monotone potential that certifies termination;
 //! - [`regions`] — monochromatic and almost-monochromatic regions `M(u)`,
 //!   `M'(u)` of §II-A;
@@ -25,9 +27,9 @@
 //! - [`race`] — Lemma 10's firewall-formation race, measured;
 //! - [`metrics`] — unhappy counts, interface length, same-type clusters;
 //! - [`trace`] — time-series sampling of a running simulation;
-//! - [`variants`] — flip-when-unhappy, ε-noise, and 2-D Kawasaki swap
-//!   baselines;
-//! - [`interval`] — the §V two-sided comfort variant;
+//! - [`variants`] — flip-when-unhappy and ε-noise rules for the grid
+//!   simulator, and 2-D Kawasaki swap baselines;
+//! - [`interval`] — the §V two-sided comfort rule for the grid simulator;
 //! - [`multi`] — the k-type (Potts-like) extension of §I-A;
 //! - [`ring`] — the 1-D ring models of Brandt et al. and Barmpalias et
 //!   al. that the paper's introduction builds on.
@@ -67,4 +69,4 @@ pub mod variants;
 
 pub use config::ModelConfig;
 pub use intolerance::Intolerance;
-pub use sim::{RunReport, Simulation};
+pub use sim::{GridSim, Rule, RunReport, Simulation};

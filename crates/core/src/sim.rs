@@ -1,42 +1,106 @@
-//! The exact event-driven Glauber dynamics (§II-A).
+//! The exact event-driven Glauber dynamics (§II-A), and the one 2-D
+//! simulator every Glauber-type rule on the grid runs on.
 
 use crate::intolerance::Intolerance;
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{AgentType, ClassTable, IndexedSet, Point, Torus, TypeField, WindowCounts};
 
-/// Summary of a [`Simulation::run_to_stable`] call.
+/// Summary of a [`GridSim::run_to_stable`] call.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunReport {
     /// Number of flips performed during this call.
     pub flips: u64,
-    /// Whether the process reached a stable state (no flippable agents).
+    /// Whether the process reached a stable state (no tracked agents).
     pub terminated: bool,
     /// Continuous time elapsed during this call.
     pub elapsed_time: f64,
 }
 
-/// A single flip event, as recorded by [`Simulation::step`].
+/// A single step, as recorded by [`GridSim::step`].
+///
+/// Under every rule but the noise baseline a step flips its agent; a
+/// noise ring that declines leaves `new_type` at the agent's old type.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlipEvent {
-    /// The agent that flipped.
+    /// The sampled agent.
     pub at: Point,
-    /// Its type after the flip.
+    /// Its type after the step.
     pub new_type: AgentType,
     /// Continuous time of the event.
     pub time: f64,
 }
 
+/// What sets one Glauber-type process on the grid apart from another:
+/// which agents may act, whether a sampled agent flips, and whether the
+/// continuous-time clock runs. Implemented by [`Intolerance`] (the
+/// paper), [`crate::variants::Baseline`] (§I-A) and
+/// [`crate::interval::ComfortBand`] (§V).
+pub trait Rule: Copy + std::fmt::Debug {
+    /// Whether [`GridSim::step`] advances the exponential clock. Rules
+    /// without a clock leave [`GridSim::time`] at zero.
+    const CLOCKED: bool;
+
+    /// The neighborhood size `N` the rule's thresholds are for.
+    fn neighborhood_size(&self) -> u32;
+
+    /// Whether an agent with same-type count `s` is tracked, i.e. may be
+    /// sampled by [`GridSim::step`].
+    fn is_tracked(&self, s: u32) -> bool;
+
+    /// Whether an agent with same-type count `s` counts as unhappy.
+    fn is_unhappy(&self, s: u32) -> bool;
+
+    /// Whether a sampled tracked agent with same-type count `s` flips.
+    /// Always, unless the rule says otherwise; a rule may draw from
+    /// `rng` here.
+    #[inline]
+    fn flips(&self, _s: u32, _rng: &mut Xoshiro256pp) -> bool {
+        true
+    }
+
+    /// The fused kernel's lookup table: tracked and unhappy bits by
+    /// same-type count.
+    fn class_table(&self) -> ClassTable {
+        // s = 0 is unreachable (an agent counts itself); guard it so
+        // building the table never evaluates flip arithmetic on it
+        ClassTable::build_same_count(self.neighborhood_size(), |s| {
+            (s >= 1 && self.is_tracked(s), self.is_unhappy(s))
+        })
+    }
+}
+
+/// A Glauber-type process on the torus under a [`Rule`].
+///
+/// Every agent carries a rate-1 Poisson clock. Rings of untracked agents
+/// change nothing, so the simulation integrates them out: each step
+/// samples a uniform agent of the tracked set, lets the rule decide
+/// whether it flips and, for a clocked rule, advances time by `Exp(F)`
+/// with `F` tracked agents. A flip touches the `(2w+1)²` neighborhoods
+/// containing it, updated by one fused pass
+/// ([`WindowCounts::apply_flip_fused`]) that also keeps the tracked set
+/// and the unhappy count.
+#[derive(Clone, Debug)]
+pub struct GridSim<R> {
+    field: TypeField,
+    counts: WindowCounts,
+    rule: R,
+    /// `rule`'s classes, precomputed for the fused flip kernel.
+    classes: ClassTable,
+    tracked: IndexedSet,
+    /// Incrementally-maintained number of unhappy agents.
+    unhappy: usize,
+    rng: Xoshiro256pp,
+    time: f64,
+    flips: u64,
+}
+
 /// The paper's process, simulated exactly.
 ///
-/// Every agent carries a rate-1 Poisson clock; a ring flips the agent iff
-/// it is unhappy and the flip makes it happy. Rings of non-flippable
-/// agents change nothing, so the simulation integrates them out: with `F`
-/// flippable agents the time to the next effective event is `Exp(F)` and
-/// the flipping agent is uniform over the flippable set — exactly the law
-/// of the embedded jump chain of the paper's continuous-time process.
-///
-/// A flip touches the `(2w+1)²` neighborhoods containing it; each step is
-/// O(N).
+/// A ring flips the agent iff it is unhappy and the flip makes it happy,
+/// so the tracked set is the flippable agents: with `F` of them the time
+/// to the next effective event is `Exp(F)` and the flipping agent is
+/// uniform over the set — exactly the law of the embedded jump chain of
+/// the paper's continuous-time process. Each step is O(N).
 ///
 /// # Example
 ///
@@ -49,63 +113,53 @@ pub struct FlipEvent {
 /// let after = sim.unhappy_count();
 /// assert!(after <= before);
 /// ```
-#[derive(Clone, Debug)]
-pub struct Simulation {
-    field: TypeField,
-    counts: WindowCounts,
-    intol: Intolerance,
-    /// `intol`'s classes, precomputed for the fused flip kernel.
-    classes: ClassTable,
-    flippable: IndexedSet,
-    /// Incrementally-maintained number of unhappy agents.
-    unhappy: usize,
-    rng: Xoshiro256pp,
-    time: f64,
-    flips: u64,
-}
+pub type Simulation = GridSim<Intolerance>;
 
-impl Simulation {
-    /// Builds a simulation from an explicit initial configuration.
+impl<R: Rule> GridSim<R> {
+    /// Builds the process over an explicit initial configuration.
     ///
     /// # Panics
     ///
     /// Panics if the window does not fit the torus (see
-    /// [`WindowCounts::new`]).
-    pub fn from_field(
-        field: TypeField,
-        horizon: u32,
-        intol: Intolerance,
-        rng: Xoshiro256pp,
-    ) -> Self {
+    /// [`WindowCounts::new`]) or the rule is sized for another `N`.
+    pub fn new(field: TypeField, horizon: u32, rule: R, rng: Xoshiro256pp) -> Self {
         let counts = WindowCounts::new(&field, horizon);
         assert_eq!(
-            intol.neighborhood_size(),
+            rule.neighborhood_size(),
             counts.neighborhood_size(),
-            "intolerance sized for N = {}, window has N = {}",
-            intol.neighborhood_size(),
+            "rule sized for N = {}, window has N = {}",
+            rule.neighborhood_size(),
             counts.neighborhood_size()
         );
-        let torus = field.torus();
-        let classes = intol.class_table();
-        let mut flippable = IndexedSet::new(torus.len());
-        let mut unhappy = 0;
-        for i in 0..torus.len() {
-            let c = classes.class(field.get_index(i), counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                flippable.insert(i);
-            }
-            unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
-        }
-        Simulation {
+        let len = field.torus().len();
+        let mut sim = GridSim {
             field,
             counts,
-            intol,
-            classes,
-            flippable,
-            unhappy,
+            rule,
+            classes: rule.class_table(),
+            tracked: IndexedSet::new(len),
+            unhappy: 0,
             rng,
             time: 0.0,
             flips: 0,
+        };
+        sim.classify_all();
+        sim
+    }
+
+    /// Rebuilds the tracked set and the unhappy count from the classes.
+    fn classify_all(&mut self) {
+        self.unhappy = 0;
+        for i in 0..self.torus().len() {
+            let c = self
+                .classes
+                .class(self.field.get_index(i), self.counts.plus_count_index(i));
+            if c & ClassTable::TRACKED != 0 {
+                self.tracked.insert(i);
+            } else {
+                self.tracked.remove(i);
+            }
+            self.unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
         }
     }
 
@@ -121,10 +175,10 @@ impl Simulation {
         self.counts.horizon()
     }
 
-    /// The intolerance.
+    /// The rule.
     #[inline]
-    pub fn intolerance(&self) -> Intolerance {
-        self.intol
+    pub fn rule(&self) -> R {
+        self.rule
     }
 
     /// The current configuration.
@@ -139,7 +193,8 @@ impl Simulation {
         &self.counts
     }
 
-    /// Continuous time elapsed since the initial configuration.
+    /// Continuous time elapsed since the initial configuration (zero
+    /// under a rule without a clock).
     #[inline]
     pub fn time(&self) -> f64 {
         self.time
@@ -160,7 +215,7 @@ impl Simulation {
     /// Whether the agent at `u` is happy.
     #[inline]
     pub fn is_happy(&self, u: Point) -> bool {
-        self.intol.is_happy(self.same_count(u))
+        !self.rule.is_unhappy(self.same_count(u))
     }
 
     /// Number of currently unhappy agents. Maintained incrementally by the
@@ -170,36 +225,50 @@ impl Simulation {
         self.unhappy
     }
 
-    /// Number of currently flippable agents (unhappy and improvable). The
-    /// process is stable iff this is zero.
+    /// Number of currently tracked agents (for the paper's rule, unhappy
+    /// and improvable). The process is stable iff this is zero.
     #[inline]
     pub fn flippable_count(&self) -> usize {
-        self.flippable.len()
+        self.tracked.len()
     }
 
     /// Whether the process has reached a stable state.
     #[inline]
     pub fn is_stable(&self) -> bool {
-        self.flippable.is_empty()
+        self.tracked.is_empty()
     }
 
-    /// Performs one effective event: advances the exponential clock, flips
-    /// a uniformly chosen flippable agent, and updates all affected
-    /// bookkeeping. Returns `None` when stable.
+    /// Performs one step: samples a uniform tracked agent, advances the
+    /// exponential clock (clocked rules only), and flips the agent if the
+    /// rule says so, updating all affected bookkeeping. Returns `None`
+    /// when stable.
     pub fn step(&mut self) -> Option<FlipEvent> {
-        let f = self.flippable.len();
-        let i = self.flippable.sample(&mut self.rng)?;
-        self.time += self.rng.next_exponential(f as f64);
+        let f = self.tracked.len();
+        let i = self.tracked.sample(&mut self.rng)?;
+        if R::CLOCKED {
+            self.time += self.rng.next_exponential(f as f64);
+        }
         let at = self.torus().from_index(i);
-        Some(self.force_flip_at(at))
+        let ty = self.field.get_index(i);
+        if self
+            .rule
+            .flips(self.counts.same_count_index(i, ty), &mut self.rng)
+        {
+            Some(self.force_flip_at(at))
+        } else {
+            Some(FlipEvent {
+                at,
+                new_type: ty,
+                time: self.time,
+            })
+        }
     }
 
     /// Flips the agent at `at` unconditionally and repairs all bookkeeping.
     ///
-    /// Exposed for the baseline variants and for constructing the paper's
+    /// Exposed for the swap dynamics and for constructing the paper's
     /// geometric scenarios (e.g. the flip schedules of Lemma 5); the
-    /// paper's own dynamics only ever flips flippable agents via
-    /// [`Simulation::step`].
+    /// dynamics themselves only ever flip via [`GridSim::step`].
     pub fn force_flip_at(&mut self, at: Point) -> FlipEvent {
         let new_type = self.field.flip(at);
         self.flips += 1;
@@ -212,7 +281,7 @@ impl Simulation {
             new_type,
             &self.field,
             &self.classes,
-            &mut self.flippable,
+            &mut self.tracked,
         );
         self.unhappy = (self.unhappy as i64 + unhappy_delta) as usize;
         FlipEvent {
@@ -222,17 +291,16 @@ impl Simulation {
         }
     }
 
-    /// Runs until stable or until `max_flips` more flips have occurred.
-    pub fn run_to_stable(&mut self, max_flips: u64) -> RunReport {
+    /// Runs until stable or until `max_steps` more steps have been taken.
+    /// Every step flips under the paper's rule, the comfort band and
+    /// flip-when-unhappy, so there the budget counts flips; a declined
+    /// noise ring uses up one step too.
+    pub fn run_to_stable(&mut self, max_steps: u64) -> RunReport {
         let t0 = self.time;
         let f0 = self.flips;
-        while self.flips - f0 < max_flips {
+        for _ in 0..max_steps {
             if self.step().is_none() {
-                return RunReport {
-                    flips: self.flips - f0,
-                    terminated: true,
-                    elapsed_time: self.time - t0,
-                };
+                break;
             }
         }
         RunReport {
@@ -242,50 +310,68 @@ impl Simulation {
         }
     }
 
+    /// Full consistency audit: recomputes counts, the tracked set and the
+    /// unhappy total from scratch against the rule's own predicates and
+    /// compares. O(n²·N); for tests and debugging.
+    pub fn audit(&self) -> bool {
+        if !self.counts.verify_against(&self.field) {
+            return false;
+        }
+        let mut unhappy = 0;
+        for i in 0..self.torus().len() {
+            let s = self.counts.same_count_index(i, self.field.get_index(i));
+            if self.rule.is_tracked(s) != self.tracked.contains(i) {
+                return false;
+            }
+            unhappy += usize::from(self.rule.is_unhappy(s));
+        }
+        unhappy == self.unhappy
+    }
+
+    /// Iterates the currently tracked agents (arbitrary order).
+    pub fn flippable_agents(&self) -> impl Iterator<Item = Point> + '_ {
+        let t = self.torus();
+        self.tracked.iter().map(move |i| t.from_index(i))
+    }
+
+    /// Mutable access to the RNG (for dynamics layered on top).
+    pub(crate) fn rng_mut(&mut self) -> &mut Xoshiro256pp {
+        &mut self.rng
+    }
+}
+
+impl Simulation {
+    /// Builds the paper's process from an explicit initial configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`GridSim::new`].
+    pub fn from_field(
+        field: TypeField,
+        horizon: u32,
+        intol: Intolerance,
+        rng: Xoshiro256pp,
+    ) -> Self {
+        GridSim::new(field, horizon, intol, rng)
+    }
+
+    /// The intolerance.
+    #[inline]
+    pub fn intolerance(&self) -> Intolerance {
+        self.rule
+    }
+
     /// Runs until continuous time reaches `t_end` or the process is
     /// stable, whichever comes first.
     pub fn run_until_time(&mut self, t_end: f64) -> RunReport {
         let t0 = self.time;
         let f0 = self.flips;
-        loop {
-            if self.time >= t_end || self.step().is_none() {
-                return RunReport {
-                    flips: self.flips - f0,
-                    terminated: self.is_stable(),
-                    elapsed_time: self.time - t0,
-                };
-            }
+        while self.time < t_end && self.step().is_some() {}
+        RunReport {
+            flips: self.flips - f0,
+            terminated: self.is_stable(),
+            elapsed_time: self.time - t0,
         }
-    }
-
-    /// Full consistency audit: recomputes counts, the flippable set and
-    /// the unhappy total from scratch and compares. O(n²·N); for tests and
-    /// debugging.
-    pub fn audit(&self) -> bool {
-        if !self.counts.verify_against(&self.field) {
-            return false;
-        }
-        let t = self.torus();
-        let mut unhappy = 0;
-        for i in 0..t.len() {
-            let s = self.counts.same_count_index(i, self.field.get_index(i));
-            if self.intol.is_flippable(s) != self.flippable.contains(i) {
-                return false;
-            }
-            unhappy += usize::from(!self.intol.is_happy(s));
-        }
-        unhappy == self.unhappy
-    }
-
-    /// Iterates the currently flippable agents (arbitrary order).
-    pub fn flippable_agents(&self) -> impl Iterator<Item = Point> + '_ {
-        let t = self.torus();
-        self.flippable.iter().map(move |i| t.from_index(i))
-    }
-
-    /// Mutable access to the RNG (for variants layered on top).
-    pub(crate) fn rng_mut(&mut self) -> &mut Xoshiro256pp {
-        &mut self.rng
     }
 
     /// Replaces the intolerance mid-run and rebuilds the flippable set —
@@ -300,21 +386,9 @@ impl Simulation {
             self.counts.neighborhood_size(),
             "intolerance must match the window size"
         );
-        self.intol = intol;
+        self.rule = intol;
         self.classes = intol.class_table();
-        let t = self.torus();
-        self.unhappy = 0;
-        for i in 0..t.len() {
-            let c = self
-                .classes
-                .class(self.field.get_index(i), self.counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                self.flippable.insert(i);
-            } else {
-                self.flippable.remove(i);
-            }
-            self.unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
-        }
+        self.classify_all();
     }
 }
 

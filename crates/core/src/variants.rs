@@ -1,10 +1,10 @@
 //! Model variants and baselines (§I-A's discussion).
 //!
 //! The paper assumes Glauber dynamics with flips that only happen when
-//! they make the flipper happy. §I-A lists the nearby variants studied in
-//! the literature; this module implements them as baselines:
+//! they make the flipper happy ([`crate::sim::Simulation`]). §I-A lists
+//! the nearby variants studied in the literature; this module implements
+//! them as baselines:
 //!
-//! - [`UpdateRule::FlipIfImproves`] — the paper's rule;
 //! - [`UpdateRule::FlipWhenUnhappy`] — unhappy agents flip regardless of
 //!   the outcome ("swap (or flip) regardless");
 //! - [`UpdateRule::Noise`] — with probability ε an acting agent ignores
@@ -14,48 +14,82 @@
 //!   the Kawasaki ring model of Brandt et al.).
 
 use crate::intolerance::Intolerance;
-use crate::sim::Simulation;
+use crate::sim::{GridSim, Rule, Simulation};
 use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{AgentType, ClassTable, IndexedSet, Point, TypeField, WindowCounts};
+use seg_grid::{AgentType, Point, TypeField};
 
 /// The local update rule of a [`VariantSim`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum UpdateRule {
-    /// Flip iff unhappy and the flip makes the agent happy (the paper).
-    FlipIfImproves,
     /// Flip whenever unhappy.
     FlipWhenUnhappy,
-    /// Like `FlipIfImproves`, but each acting agent deviates (flips
+    /// The paper's rule, except that each acting agent deviates (flips
     /// unconditionally) with probability ε.
     Noise(f64),
 }
 
-/// A Glauber-type simulation under a configurable [`UpdateRule`].
-///
-/// For `FlipIfImproves` this coincides with [`Simulation`] (which should
-/// be preferred — it is the paper's process); the other rules exist for
-/// the variant comparisons of `exp_variants`.
-#[derive(Clone, Debug)]
-pub struct VariantSim {
-    field: TypeField,
-    counts: WindowCounts,
+/// The [`Rule`] of the §I-A baselines: every unhappy agent acts, in
+/// discrete time (one step per ring), and flips per its [`UpdateRule`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Baseline {
     intol: Intolerance,
-    /// Classes for the fused kernel: tracked = unhappy (eligible to act).
-    classes: ClassTable,
-    /// Agents currently eligible to act (unhappy).
-    active: IndexedSet,
-    rule: UpdateRule,
-    rng: Xoshiro256pp,
-    flips: u64,
+    update: UpdateRule,
 }
 
-impl VariantSim {
-    /// Builds the variant simulation over an explicit field.
+impl Baseline {
+    /// The baseline `update` over the happiness thresholds of `intol`.
     ///
     /// # Panics
     ///
-    /// Panics if ε is outside `[0, 1]` for [`UpdateRule::Noise`], or on
-    /// window/intolerance mismatches as in [`Simulation::from_field`].
+    /// Panics if ε is outside `[0, 1]` for [`UpdateRule::Noise`].
+    pub fn new(intol: Intolerance, update: UpdateRule) -> Self {
+        if let UpdateRule::Noise(eps) = update {
+            assert!((0.0..=1.0).contains(&eps), "noise ε must lie in [0, 1]");
+        }
+        Baseline { intol, update }
+    }
+}
+
+impl Rule for Baseline {
+    const CLOCKED: bool = false;
+
+    #[inline]
+    fn neighborhood_size(&self) -> u32 {
+        self.intol.neighborhood_size()
+    }
+
+    #[inline]
+    fn is_tracked(&self, s: u32) -> bool {
+        self.is_unhappy(s)
+    }
+
+    #[inline]
+    fn is_unhappy(&self, s: u32) -> bool {
+        !self.intol.is_happy(s)
+    }
+
+    #[inline]
+    fn flips(&self, s: u32, rng: &mut Xoshiro256pp) -> bool {
+        match self.update {
+            UpdateRule::FlipWhenUnhappy => true,
+            // the rule is tested first, so ε is drawn only when it fails
+            UpdateRule::Noise(eps) => self.intol.flip_makes_happy(s) || rng.next_bool(eps),
+        }
+    }
+}
+
+/// A §I-A baseline: the grid process under a [`Baseline`] rule, for the
+/// variant comparisons of `exp_variants`. Each step is one ring of a
+/// uniformly chosen unhappy agent's clock, no-op rings of the noise rule
+/// included.
+pub type VariantSim = GridSim<Baseline>;
+
+impl VariantSim {
+    /// Builds the baseline `rule` over an explicit field.
+    ///
+    /// # Panics
+    ///
+    /// As [`Baseline::new`] and [`GridSim::new`].
     pub fn from_field(
         field: TypeField,
         horizon: u32,
@@ -63,94 +97,14 @@ impl VariantSim {
         rule: UpdateRule,
         rng: Xoshiro256pp,
     ) -> Self {
-        if let UpdateRule::Noise(eps) = rule {
-            assert!((0.0..=1.0).contains(&eps), "noise ε must lie in [0, 1]");
-        }
-        let counts = WindowCounts::new(&field, horizon);
-        assert_eq!(intol.neighborhood_size(), counts.neighborhood_size());
-        let torus = field.torus();
-        // this rule's tracked set is the *unhappy* agents, not the
-        // flippable ones — flippability is re-tested at act time
-        let classes = ClassTable::build_same_count(intol.neighborhood_size(), |s| {
-            let unhappy = !intol.is_happy(s);
-            (unhappy, unhappy)
-        });
-        let mut active = IndexedSet::new(torus.len());
-        for i in 0..torus.len() {
-            if classes.tracked(field.get_index(i), counts.plus_count_index(i)) {
-                active.insert(i);
-            }
-        }
-        VariantSim {
-            field,
-            counts,
-            intol,
-            classes,
-            active,
-            rule,
-            rng,
-            flips: 0,
-        }
-    }
-
-    /// The current configuration.
-    pub fn field(&self) -> &TypeField {
-        &self.field
-    }
-
-    /// Total flips so far.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// Number of currently unhappy agents.
-    pub fn unhappy_count(&self) -> usize {
-        self.active.len()
-    }
-
-    fn flip(&mut self, at: Point) {
-        let new_type = self.field.flip(at);
-        self.flips += 1;
-        self.counts
-            .apply_flip_fused(at, new_type, &self.field, &self.classes, &mut self.active);
-    }
-
-    /// One ring of an unhappy agent's clock: acts per the rule. Returns
-    /// the acted-on agent, or `None` if no agent is unhappy.
-    ///
-    /// Note that under `FlipIfImproves` a ring may be a no-op (the chosen
-    /// unhappy agent cannot improve) — exactly the paper's discrete-time
-    /// description, no-ops included.
-    pub fn step(&mut self) -> Option<Point> {
-        let i = self.active.sample(&mut self.rng)?;
-        let at = self.field.torus().from_index(i);
-        let s = self.counts.same_count_index(i, self.field.get_index(i));
-        let flip = match self.rule {
-            UpdateRule::FlipIfImproves => self.intol.flip_makes_happy(s),
-            UpdateRule::FlipWhenUnhappy => true,
-            UpdateRule::Noise(eps) => {
-                // Test the rule first so that ε = 0 consumes exactly the
-                // same random stream as FlipIfImproves.
-                self.intol.flip_makes_happy(s) || self.rng.next_bool(eps)
-            }
-        };
-        if flip {
-            self.flip(at);
-        }
-        Some(at)
+        GridSim::new(field, horizon, Baseline::new(intol, rule), rng)
     }
 
     /// Runs for at most `max_steps` rings; returns the number of *flips*
     /// performed. Under `FlipWhenUnhappy` and `Noise` the process may
     /// never stabilize — the step cap is the only terminator.
     pub fn run(&mut self, max_steps: u64) -> u64 {
-        let f0 = self.flips;
-        for _ in 0..max_steps {
-            if self.step().is_none() {
-                break;
-            }
-        }
-        self.flips - f0
+        self.run_to_stable(max_steps).flips
     }
 }
 
@@ -253,31 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn flip_if_improves_matches_paper_semantics() {
-        let mut v = variant(48, 2, 0.45, UpdateRule::FlipIfImproves, 3);
-        let flips = v.run(50_000);
-        assert!(flips > 0);
-        assert_eq!(v.unhappy_count(), 0, "τ < 1/2 stabilizes with all happy");
-    }
-
-    #[test]
     fn flip_when_unhappy_keeps_churning_above_half() {
         // at τ > 1/2 unconditional flips can cycle; the run cap terminates
         let mut v = variant(32, 2, 0.6, UpdateRule::FlipWhenUnhappy, 4);
         let flips = v.run(20_000);
         assert!(flips > 0, "unconditional rule must flip");
-    }
-
-    #[test]
-    fn noise_zero_equals_paper_rule_flipcount_statistics() {
-        let mut a = variant(32, 2, 0.45, UpdateRule::Noise(0.0), 5);
-        let mut b = variant(32, 2, 0.45, UpdateRule::FlipIfImproves, 5);
-        // same seed, same rule semantics at ε = 0... but Noise draws an
-        // extra random number per step only when flip_makes_happy fails;
-        // at τ<1/2 that never happens, so the streams coincide.
-        let fa = a.run(10_000);
-        let fb = b.run(10_000);
-        assert_eq!(fa, fb);
     }
 
     #[test]

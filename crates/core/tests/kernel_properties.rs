@@ -10,10 +10,10 @@
 //! §V comfort band and Kawasaki swaps) the same way.
 
 use proptest::prelude::*;
-use seg_core::interval::IntervalSim;
+use seg_core::interval::{ComfortBand, IntervalSim};
 use seg_core::ring::{RingKawasaki, RingSim};
-use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
-use seg_core::{Intolerance, ModelConfig, Simulation};
+use seg_core::variants::{Baseline, KawasakiSim, UpdateRule, VariantSim};
+use seg_core::{GridSim, Intolerance, ModelConfig, Rule, Simulation};
 use seg_grid::rng::Xoshiro256pp;
 use seg_grid::{AgentType, Torus, TypeField};
 
@@ -186,12 +186,44 @@ fn ring_unhappy_brute(sim: &RingSim, ty: AgentType) -> Vec<usize> {
         .collect()
 }
 
+/// Mixes dynamics steps with forced flips at pseudo-random sites
+/// (Lemma-5-style schedules flip non-flippable agents too), then checks
+/// the audit and the unhappy counter against a brute-force recount.
+fn audit_after_mixed_flips<R: Rule>(
+    mut sim: GridSim<R>,
+    seed: u64,
+    steps: usize,
+) -> Result<(), TestCaseError> {
+    let t = sim.torus();
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    for k in 0..steps {
+        if k % 3 == 0 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let i = ((state >> 33) % t.len() as u64) as usize;
+            sim.force_flip_at(t.from_index(i));
+        } else if sim.step().is_none() {
+            break;
+        }
+    }
+    prop_assert!(
+        sim.audit(),
+        "{:?}: audit failed after {steps} mixed flips",
+        sim.rule()
+    );
+    let brute_unhappy = t.points().filter(|p| !sim.is_happy(*p)).count();
+    prop_assert_eq!(sim.unhappy_count(), brute_unhappy);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// (a) The fused kernel leaves the full audit true after arbitrary
     /// mixes of dynamics steps and forced (schedule-style) flips, and the
-    /// O(1) unhappy counter matches a brute-force recount.
+    /// O(1) unhappy counter matches a brute-force recount — under the
+    /// paper's rule, both §I-A baselines and the §V comfort band.
     #[test]
     fn fused_kernel_audit_after_random_flips(
         seed in any::<u64>(),
@@ -199,25 +231,15 @@ proptest! {
         tau in 0.2f64..0.7,
         steps in 1usize..120,
     ) {
-        let mut sim = ModelConfig::new(24, w, tau).seed(seed).build();
-        let t = sim.torus();
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        for k in 0..steps {
-            if k % 3 == 0 {
-                // forced flip at a pseudo-random site (Lemma-5-style
-                // schedules flip non-flippable agents too)
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let i = ((state >> 33) % t.len() as u64) as usize;
-                sim.force_flip_at(t.from_index(i));
-            } else if sim.step().is_none() {
-                break;
-            }
-        }
-        prop_assert!(sim.audit(), "audit failed after {steps} mixed flips");
-        let brute_unhappy = t.points().filter(|p| !sim.is_happy(*p)).count();
-        prop_assert_eq!(sim.unhappy_count(), brute_unhappy);
+        let config = ModelConfig::new(24, w, tau).seed(seed);
+        let intol = config.intolerance();
+        let band = ComfortBand::new(config.neighborhood_size(), tau, (tau + 0.3).min(1.0));
+        audit_after_mixed_flips(config.build(), seed, steps)?;
+        let unhappy = Baseline::new(intol, UpdateRule::FlipWhenUnhappy);
+        audit_after_mixed_flips(config.build_with(unhappy), seed, steps)?;
+        let noise = Baseline::new(intol, UpdateRule::Noise(0.3));
+        audit_after_mixed_flips(config.build_with(noise), seed, steps)?;
+        audit_after_mixed_flips(config.build_with(band), seed, steps)?;
     }
 
     /// (b) The ring's maintained flippable set always equals the

@@ -9,9 +9,11 @@ use crate::replica::FinalState;
 use crate::spec::ReplicaTask;
 use seg_analysis::csv::write_csv_file;
 use seg_analysis::ppm::{figure1_frame, type_frame};
-use seg_core::metrics::{config_stats, interface_length, largest_same_type_cluster};
+use seg_core::metrics::{interface_length, largest_same_type_cluster};
 use seg_core::trace::TracePoint;
+use seg_core::{GridSim, Rule};
 use seg_grid::rng::Xoshiro256pp;
+use seg_grid::TypeField;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -172,46 +174,14 @@ impl Observer {
             Observer::TerminalStats => {
                 match state {
                     FinalState::Grid(sim) => {
-                        let s = config_stats(sim);
+                        grid_stats(sim, metrics);
                         let n = sim.torus().len() as f64;
-                        metrics.insert("unhappy".into(), s.unhappy as f64);
-                        metrics.insert("happy_fraction".into(), s.happy_fraction);
-                        metrics.insert("interface".into(), s.interface_length as f64);
-                        metrics.insert("largest_cluster".into(), s.largest_cluster as f64);
-                        metrics.insert("plus_fraction".into(), s.plus as f64 / n);
+                        let happy = 1.0 - sim.unhappy_count() as f64 / n;
+                        metrics.insert("happy_fraction".into(), happy);
                     }
-                    FinalState::VariantGrid(sim) => {
-                        let field = sim.field();
-                        let n = field.torus().len() as f64;
-                        metrics.insert("unhappy".into(), sim.unhappy_count() as f64);
-                        metrics.insert("interface".into(), interface_length(field) as f64);
-                        metrics.insert(
-                            "largest_cluster".into(),
-                            largest_same_type_cluster(field) as f64,
-                        );
-                        metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
-                    }
-                    FinalState::Kawasaki(sim) => {
-                        let field = sim.field();
-                        let n = field.torus().len() as f64;
-                        metrics.insert("interface".into(), interface_length(field) as f64);
-                        metrics.insert(
-                            "largest_cluster".into(),
-                            largest_same_type_cluster(field) as f64,
-                        );
-                        metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
-                    }
-                    FinalState::TwoSided(sim) => {
-                        let field = sim.field();
-                        let n = field.torus().len() as f64;
-                        metrics.insert("unhappy".into(), sim.discontent_count() as f64);
-                        metrics.insert("interface".into(), interface_length(field) as f64);
-                        metrics.insert(
-                            "largest_cluster".into(),
-                            largest_same_type_cluster(field) as f64,
-                        );
-                        metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
-                    }
+                    FinalState::VariantGrid(sim) => grid_stats(sim, metrics),
+                    FinalState::TwoSided(sim) => grid_stats(sim, metrics),
+                    FinalState::Kawasaki(sim) => field_stats(sim.field(), metrics),
                     FinalState::Multi(sim) => {
                         metrics.insert("unhappy".into(), sim.unhappy_count() as f64);
                         metrics.insert("largest_cluster".into(), sim.largest_cluster() as f64);
@@ -256,6 +226,23 @@ impl Observer {
             }
         }
     }
+}
+
+/// The terminal statistics of a 2-D Glauber run under any rule.
+fn grid_stats<R: Rule>(sim: &GridSim<R>, metrics: &mut BTreeMap<String, f64>) {
+    metrics.insert("unhappy".into(), sim.unhappy_count() as f64);
+    field_stats(sim.field(), metrics);
+}
+
+/// The terminal statistics of a final 2-D configuration.
+fn field_stats(field: &TypeField, metrics: &mut BTreeMap<String, f64>) {
+    let n = field.torus().len() as f64;
+    metrics.insert("interface".into(), interface_length(field) as f64);
+    metrics.insert(
+        "largest_cluster".into(),
+        largest_same_type_cluster(field) as f64,
+    );
+    metrics.insert("plus_fraction".into(), field.plus_total() as f64 / n);
 }
 
 fn artifact_path(dir: &Path, task: &ReplicaTask, stem: &str, ext: &str) -> PathBuf {

@@ -6,10 +6,9 @@ use seg_core::interval::IntervalSim;
 use seg_core::multi::MultiSim;
 use seg_core::ring::{RingKawasaki, RingSim};
 use seg_core::trace::trace_run;
-use seg_core::variants::{KawasakiSim, UpdateRule, VariantSim};
-use seg_core::{Intolerance, ModelConfig, Simulation};
-use seg_grid::rng::Xoshiro256pp;
-use seg_grid::{Torus, TypeField};
+use seg_core::variants::{Baseline, KawasakiSim, UpdateRule, VariantSim};
+use seg_core::{ModelConfig, Simulation};
+use seg_grid::TypeField;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -119,12 +118,14 @@ pub fn run_replica(task: &ReplicaTask, observers: &[Observer]) -> ReplicaRecord 
         _ => None,
     });
 
+    let grid = || {
+        ModelConfig::new(p.side, p.horizon, p.tau)
+            .initial_density(p.density)
+            .seed(task.seed)
+    };
     let (state, events) = match p.variant {
         Variant::Paper => {
-            let mut sim = ModelConfig::new(p.side, p.horizon, p.tau)
-                .initial_density(p.density)
-                .seed(task.seed)
-                .build();
+            let mut sim = grid().build();
             if let Some((sample_every, dir)) = trace_req {
                 let trace = trace_run(&mut sim, sample_every, task.max_events);
                 crate::observe::write_trace(&dir, task, &trace)
@@ -138,27 +139,18 @@ pub fn run_replica(task: &ReplicaTask, observers: &[Observer]) -> ReplicaRecord 
             (FinalState::Grid(sim), events)
         }
         Variant::FlipWhenUnhappy | Variant::Noise(_) => {
-            let rule = match p.variant {
-                Variant::FlipWhenUnhappy => UpdateRule::FlipWhenUnhappy,
+            let update = match p.variant {
                 Variant::Noise(eps) => UpdateRule::Noise(eps),
-                _ => unreachable!(),
+                _ => UpdateRule::FlipWhenUnhappy,
             };
-            let torus = Torus::new(p.side);
-            let mut rng = Xoshiro256pp::seed_from_u64(task.seed);
-            let field = TypeField::random(torus, p.density, &mut rng);
-            let nsize = (2 * p.horizon + 1) * (2 * p.horizon + 1);
-            let mut sim =
-                VariantSim::from_field(field, p.horizon, Intolerance::new(nsize, p.tau), rule, rng);
+            let config = grid();
+            let mut sim = config.build_with(Baseline::new(config.intolerance(), update));
             sim.run(task.max_events);
             let events = sim.flips();
             (FinalState::VariantGrid(sim), events)
         }
         Variant::Kawasaki => {
-            let sim = ModelConfig::new(p.side, p.horizon, p.tau)
-                .initial_density(p.density)
-                .seed(task.seed)
-                .build();
-            let mut k = KawasakiSim::new(sim);
+            let mut k = KawasakiSim::new(grid().build());
             k.run(task.max_events);
             metrics.insert("failed_attempts".into(), k.failed_attempts() as f64);
             let events = k.swaps();

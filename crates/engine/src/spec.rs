@@ -40,7 +40,9 @@ pub enum Variant {
     RingKawasaki,
     /// The §V two-sided comfort band ([`seg_core::interval::IntervalSim`]):
     /// agents are content only when their same-type fraction lies in
-    /// `[τ, τ_hi]`. The point's `tau` is the lower edge `τ_lo`.
+    /// `[τ, τ_hi]`. The point's `tau` is the lower edge `τ_lo`; its
+    /// `density` is ignored (the field is always sampled at density 1/2,
+    /// as [`seg_core::interval::IntervalSim::random`] does).
     TwoSided {
         /// Upper edge of the comfort band.
         tau_hi: f64,
