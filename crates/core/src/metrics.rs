@@ -2,7 +2,6 @@
 
 use crate::sim::Simulation;
 use seg_grid::{AgentType, TypeField};
-use seg_percolation::union_find::UnionFind;
 
 /// Snapshot statistics of a configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,85 +40,102 @@ pub fn config_stats(sim: &Simulation) -> ConfigStats {
     }
 }
 
-/// Number of von-Neumann-adjacent opposite-type pairs on the torus.
+/// Number of von-Neumann-adjacent opposite-type pairs on the torus: each
+/// cell's right and down edge counts, wrapping across both seams. On side
+/// 2 two edges join each adjacent pair, one each way round, so the pair
+/// counts once per direction; on side 1 the interface is 0.
 pub fn interface_length(field: &TypeField) -> usize {
-    let t = field.torus();
-    let n = t.side() as i64;
+    let (n, cells) = (field.torus().side() as usize, field.as_slice());
     let mut count = 0usize;
-    for p in t.points() {
-        let here = field.get(p);
-        // count right and down edges only, so each pair once (wraps included)
-        let right = t.offset(p, 1, 0);
-        let down = t.offset(p, 0, 1);
-        if n > 1 {
-            if field.get(right) != here {
-                count += 1;
-            }
-            if field.get(down) != here {
-                count += 1;
-            }
-        }
+    for (y, row) in cells.chunks_exact(n).enumerate() {
+        let below = &cells[(y + 1) % n * n..][..n];
+        count += row.windows(2).filter(|p| p[0] != p[1]).count();
+        count += usize::from(row[n - 1] != row[0]);
+        count += row.iter().zip(below).filter(|(a, b)| a != b).count();
     }
     count
 }
 
-/// Size of the largest 4-connected same-type cluster.
+/// Size of the largest 4-connected same-type cluster. Clusters connect
+/// across both seams of the torus; on side 1 the one agent is a cluster
+/// of size 1.
 pub fn largest_same_type_cluster(field: &TypeField) -> usize {
-    let t = field.torus();
-    let n = t.side() as usize;
-    let mut uf = UnionFind::new(t.len());
-    for y in 0..n {
-        for x in 0..n {
-            let i = y * n + x;
-            let here = field.get_index(i);
-            let right = y * n + (x + 1) % n;
-            let down = ((y + 1) % n) * n + x;
-            if field.get_index(right) == here {
-                uf.union(i, right);
-            }
-            if field.get_index(down) == here {
-                uf.union(i, down);
-            }
-        }
-    }
-    (0..t.len())
-        .map(|i| uf.component_size(i))
-        .max()
-        .unwrap_or(0)
+    largest_cluster(field.as_slice(), field.torus().side() as usize)
 }
 
-/// Sizes of all 4-connected same-type clusters of a given type, largest
-/// first.
+/// [`largest_same_type_cluster`] over any cell type.
+pub(crate) fn largest_cluster<T: Copy + Eq>(cells: &[T], side: usize) -> usize {
+    clusters(cells, side).map(|c| c.1).max().unwrap_or(0)
+}
+
+/// Sizes of all 4-connected clusters of type `ty`, largest first.
 pub fn cluster_sizes_of_type(field: &TypeField, ty: AgentType) -> Vec<usize> {
-    let t = field.torus();
-    let n = t.side() as usize;
-    let mut uf = UnionFind::new(t.len());
-    for y in 0..n {
-        for x in 0..n {
-            let i = y * n + x;
-            if field.get_index(i) != ty {
-                continue;
-            }
-            let right = y * n + (x + 1) % n;
-            let down = ((y + 1) % n) * n + x;
-            if field.get_index(right) == ty {
-                uf.union(i, right);
-            }
-            if field.get_index(down) == ty {
-                uf.union(i, down);
-            }
-        }
-    }
-    let mut seen = std::collections::HashMap::new();
-    for i in 0..t.len() {
-        if field.get_index(i) == ty {
-            let root = uf.find(i);
-            *seen.entry(root).or_insert(0usize) += 1;
-        }
-    }
-    let mut sizes: Vec<usize> = seen.into_values().collect();
+    let clusters = clusters(field.as_slice(), field.torus().side() as usize);
+    let mut sizes: Vec<usize> = clusters.filter(|c| c.0 == ty).map(|c| c.1).collect();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     sizes
+}
+
+/// The 4-connected same-value clusters of a row-major `side × side`
+/// torus, as `(value, size)`. One raster scan labels each cell from its
+/// left or up neighbour, merging labels only where both match under
+/// different ones; a short pass then merges across the two seams.
+fn clusters<T: Copy + Eq>(cells: &[T], side: usize) -> impl Iterator<Item = (T, usize)> + '_ {
+    debug_assert_eq!(cells.len(), side * side);
+    assert!(side < 1 << 16, "side {side} too large for u32 labels");
+    // label[i] is a cell of i's cluster no later than i; self-labelled
+    // cells form a union-find forest rooted at each set's first cell
+    let (mut label, mut l) = (vec![0u32; cells.len()], 0u32);
+    for y in 0..side {
+        for x in 0..side {
+            let (i, ui) = (y * side + x, (y * side + x).saturating_sub(side));
+            let left = x > 0 && cells[i - 1] == cells[i];
+            let up = y > 0 && cells[ui] == cells[i];
+            // `l` is still the left label; the up one is read a step rootwards
+            let (a, b) = (l, label[label[ui] as usize]);
+            let unless_left = if up { b } else { i as u32 };
+            l = if left { a } else { unless_left };
+            if left && up && a != b {
+                l = union(&mut label, a, b);
+            }
+            label[i] = l;
+        }
+    }
+    let last_row = cells.len() - side;
+    for k in 0..side {
+        if cells[k * side] == cells[k * side + side - 1] {
+            union(&mut label, (k * side) as u32, (k * side + side - 1) as u32);
+        }
+        if cells[k] == cells[last_row + k] {
+            union(&mut label, k as u32, (last_row + k) as u32);
+        }
+    }
+    // labels precede their cells, so one ascending pass flattens them
+    let mut size = vec![0u32; cells.len()];
+    for i in 0..cells.len() {
+        label[i] = label[label[i] as usize];
+        size[label[i] as usize] += 1;
+    }
+    // yielded lazily: a result vector allocated beside the tables
+    // fragmented the heap and raised peak memory on large tori
+    let roots = (0..cells.len()).filter(move |&i| label[i] as usize == i);
+    roots.map(move |i| (cells[i], size[i] as usize))
+}
+
+/// Root of cell `x`'s set, halving the path on the way.
+fn find(label: &mut [u32], mut x: u32) -> u32 {
+    while label[x as usize] != x {
+        label[x as usize] = label[label[x as usize] as usize];
+        x = label[x as usize];
+    }
+    x
+}
+
+/// Merges the sets of cells `a` and `b` under the smaller root, returned.
+fn union(label: &mut [u32], a: u32, b: u32) -> u32 {
+    let (ra, rb) = (find(label, a), find(label, b));
+    label[ra.max(rb) as usize] = ra.min(rb);
+    ra.min(rb)
 }
 
 /// Whether the configuration is completely segregated: one type covers the

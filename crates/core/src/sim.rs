@@ -131,35 +131,23 @@ impl<R: Rule> GridSim<R> {
             rule.neighborhood_size(),
             counts.neighborhood_size()
         );
-        let len = field.torus().len();
-        let mut sim = GridSim {
+        let classes = rule.class_table();
+        let mut unhappy = 0;
+        let tracked = IndexedSet::from_fn(field.torus().len(), |i| {
+            let c = classes.class(field.get_index(i), counts.plus_count_index(i));
+            unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
+            c & ClassTable::TRACKED != 0
+        });
+        GridSim {
             field,
             counts,
             rule,
-            classes: rule.class_table(),
-            tracked: IndexedSet::new(len),
-            unhappy: 0,
+            classes,
+            tracked,
+            unhappy,
             rng,
             time: 0.0,
             flips: 0,
-        };
-        sim.classify_all();
-        sim
-    }
-
-    /// Rebuilds the tracked set and the unhappy count from the classes.
-    fn classify_all(&mut self) {
-        self.unhappy = 0;
-        for i in 0..self.torus().len() {
-            let c = self
-                .classes
-                .class(self.field.get_index(i), self.counts.plus_count_index(i));
-            if c & ClassTable::TRACKED != 0 {
-                self.tracked.insert(i);
-            } else {
-                self.tracked.remove(i);
-            }
-            self.unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
         }
     }
 
@@ -388,7 +376,19 @@ impl Simulation {
         );
         self.rule = intol;
         self.classes = intol.class_table();
-        self.classify_all();
+        // reclassify in place: agents still tracked keep their slots
+        self.unhappy = 0;
+        for i in 0..self.torus().len() {
+            let c = self
+                .classes
+                .class(self.field.get_index(i), self.counts.plus_count_index(i));
+            if c & ClassTable::TRACKED != 0 {
+                self.tracked.insert(i);
+            } else {
+                self.tracked.remove(i);
+            }
+            self.unhappy += usize::from(c & ClassTable::UNHAPPY != 0);
+        }
     }
 }
 

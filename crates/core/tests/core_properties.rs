@@ -3,9 +3,12 @@
 use proptest::prelude::*;
 use seg_core::interval::ComfortBand;
 use seg_core::intolerance::Intolerance;
+use seg_core::metrics::{cluster_sizes_of_type, interface_length, largest_same_type_cluster};
 use seg_core::multi::MultiSim;
 use seg_core::ring::RingSim;
 use seg_core::ModelConfig;
+use seg_grid::rng::Xoshiro256pp;
+use seg_grid::{AgentType, Point, Torus, TypeField};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -93,4 +96,158 @@ proptest! {
             }
         }
     }
+}
+
+/// Reference clusters: a depth-first search over [`Torus::offset`], as
+/// `(type, size)` per 4-connected same-type cluster.
+fn reference_clusters<T: Copy + Eq>(torus: Torus, at: impl Fn(Point) -> T) -> Vec<(T, usize)> {
+    let mut seen = vec![false; torus.len()];
+    let mut out = Vec::new();
+    for start in 0..torus.len() {
+        if seen[start] {
+            continue;
+        }
+        seen[start] = true;
+        let ty = at(torus.from_index(start));
+        let (mut stack, mut size) = (vec![start], 0);
+        while let Some(i) = stack.pop() {
+            size += 1;
+            let p = torus.from_index(i);
+            for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
+                let q = torus.offset(p, dx, dy);
+                let j = torus.index(q);
+                if !seen[j] && at(q) == ty {
+                    seen[j] = true;
+                    stack.push(j);
+                }
+            }
+        }
+        out.push((ty, size));
+    }
+    out
+}
+
+/// Reference interface: every cell's right and down edge (wrapping) whose
+/// ends differ in type.
+fn reference_interface(field: &TypeField) -> usize {
+    let t = field.torus();
+    t.points()
+        .map(|p| {
+            [(1, 0), (0, 1)]
+                .into_iter()
+                .filter(|&(dx, dy)| field.get(t.offset(p, dx, dy)) != field.get(p))
+                .count()
+        })
+        .sum()
+}
+
+/// Checks every field observer against the references.
+fn assert_observers_match_reference(f: &TypeField, what: &str) {
+    let reference = reference_clusters(f.torus(), |p| f.get(p));
+    assert_eq!(
+        interface_length(f),
+        reference_interface(f),
+        "interface, {what}"
+    );
+    let largest = reference.iter().map(|c| c.1).max().unwrap_or(0);
+    assert_eq!(
+        largest_same_type_cluster(f),
+        largest,
+        "largest cluster, {what}"
+    );
+    for ty in [AgentType::Plus, AgentType::Minus] {
+        let mut sizes: Vec<usize> = reference
+            .iter()
+            .filter_map(|&(t, size)| (t == ty).then_some(size))
+            .collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        assert_eq!(cluster_sizes_of_type(f, ty), sizes, "{ty} clusters, {what}");
+    }
+}
+
+#[test]
+fn observers_match_a_brute_force_search_on_random_fields() {
+    let mut rng = Xoshiro256pp::seed_from_u64(14);
+    for n in (1..=12).chain([17]) {
+        for density in [0.0, 0.3, 0.5, 1.0] {
+            for rep in 0..3 {
+                let f = TypeField::random(Torus::new(n), density, &mut rng);
+                assert_observers_match_reference(&f, &format!("n = {n}, p = {density}, #{rep}"));
+            }
+        }
+        for k in 2..=4 {
+            let m = MultiSim::random(n, 0, k, 0.5, u64::from(n) * 10 + u64::from(k));
+            let reference = reference_clusters(Torus::new(n), |p| m.type_at(p));
+            let largest = reference.iter().map(|c| c.1).max().unwrap_or(0);
+            assert_eq!(m.largest_cluster(), largest, "multi-type, n = {n}, k = {k}");
+        }
+    }
+}
+
+#[test]
+fn observers_join_clusters_across_each_seam() {
+    use AgentType::{Minus, Plus};
+    for n in 4..=9u32 {
+        let t = Torus::new(n);
+        let last = n - 1;
+        // two cells of the top row joined by a path along the bottom row:
+        // connected only through the y-seam
+        let y_seam = TypeField::from_fn(t, |p| {
+            let top = p.y == 0 && (p.x == 0 || p.x == 2);
+            let bottom = p.y == last && p.x <= 2;
+            if top || bottom {
+                Plus
+            } else {
+                Minus
+            }
+        });
+        // the same shape transposed: only through the x-seam
+        let x_seam = TypeField::from_fn(t, |p| {
+            let left = p.x == 0 && (p.y == 0 || p.y == 2);
+            let right = p.x == last && p.y <= 2;
+            if left || right {
+                Plus
+            } else {
+                Minus
+            }
+        });
+        // the four corners: each touches one other across each seam
+        let corners = TypeField::from_fn(t, |p| {
+            if (p.x == 0 || p.x == last) && (p.y == 0 || p.y == last) {
+                Plus
+            } else {
+                Minus
+            }
+        });
+        for (f, size, shape) in [
+            (y_seam, 5, "y-seam"),
+            (x_seam, 5, "x-seam"),
+            (corners, 4, "corners"),
+        ] {
+            assert_eq!(
+                cluster_sizes_of_type(&f, Plus),
+                vec![size],
+                "{shape}, n = {n}"
+            );
+            assert_observers_match_reference(&f, &format!("{shape}, n = {n}"));
+        }
+    }
+}
+
+#[test]
+fn observers_on_the_smallest_tori() {
+    use AgentType::{Minus, Plus};
+    // side 1: the one agent is its own neighbour in every direction
+    let one = TypeField::uniform(Torus::new(1), Plus);
+    assert_eq!(interface_length(&one), 0);
+    assert_eq!(largest_same_type_cluster(&one), 1);
+    // side 2: two edges join each adjacent pair, one each way round, so
+    // a checkerboard's 4 cells contribute 2 interface edges each
+    let t = Torus::new(2);
+    let checker = TypeField::from_fn(t, |p| if (p.x + p.y) % 2 == 0 { Plus } else { Minus });
+    assert_eq!(interface_length(&checker), 8);
+    assert_eq!(largest_same_type_cluster(&checker), 1);
+    let halves = TypeField::from_fn(t, |p| if p.x == 0 { Plus } else { Minus });
+    assert_eq!(interface_length(&halves), 4);
+    assert_eq!(cluster_sizes_of_type(&halves, Plus), vec![2]);
 }

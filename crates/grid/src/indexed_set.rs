@@ -41,6 +41,25 @@ impl IndexedSet {
         }
     }
 
+    /// The set of every `i ∈ 0..capacity` with `member(i)`, in the
+    /// internal order that inserting them in ascending order into
+    /// [`IndexedSet::new`] gives. Membership is gathered 64 indices at a
+    /// time into a bit mask, so no branch is taken per index on it.
+    pub fn from_fn(capacity: usize, mut member: impl FnMut(usize) -> bool) -> Self {
+        let mut set = IndexedSet::new(capacity);
+        for start in (0..capacity).step_by(64) {
+            let mut bits = 0u64;
+            for i in start..capacity.min(start + 64) {
+                bits |= u64::from(member(i)) << (i - start);
+            }
+            while bits != 0 {
+                set.insert(start + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        set
+    }
+
     /// Number of elements currently in the set.
     #[inline]
     pub fn len(&self) -> usize {
@@ -157,5 +176,20 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(s.sorted(), vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn from_fn_matches_ascending_inserts() {
+        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        for cap in [0, 1, 7, 64, 300] {
+            let member: Vec<bool> = (0..cap).map(|_| rng.next_bool(0.4)).collect();
+            let built = IndexedSet::from_fn(cap, |i| member[i]);
+            let mut inserted = IndexedSet::new(cap);
+            (0..cap)
+                .filter(|&i| member[i])
+                .for_each(|i| inserted.insert(i));
+            assert_eq!(built.items, inserted.items, "capacity {cap}");
+            assert_eq!(built.pos, inserted.pos, "capacity {cap}");
+        }
     }
 }

@@ -143,40 +143,45 @@ impl WindowCounts {
             2 * horizon + 1,
             torus.side()
         );
-        let w = horizon as usize;
-        // Separable box filter with wrap-around: first horizontal, then
-        // vertical sliding sums.
+        let (w, d) = (horizon as usize, 2 * horizon as usize + 1);
+        // Separable box filter. Horizontal sliding sums run over a row
+        // padded with `w` wrapped cells on each side, vertical ones add
+        // and drop whole rows, so no cell index is ever wrapped.
         let mut horiz = vec![0u32; n * n];
-        for y in 0..n {
-            let row = y * n;
-            let mut s = 0u32;
-            for dx in 0..(2 * w + 1) {
-                let x = (dx + n - w) % n;
-                s += u32::from(field.get_index(row + x) == AgentType::Plus);
+        let mut padded = vec![0u32; n + 2 * w];
+        for (row, sums) in field
+            .as_slice()
+            .chunks_exact(n)
+            .zip(horiz.chunks_exact_mut(n))
+        {
+            let wrapped = row[n - w..].iter().chain(row).chain(&row[..w]);
+            for (p, ty) in padded.iter_mut().zip(wrapped) {
+                *p = u32::from(*ty == AgentType::Plus);
             }
-            horiz[row] = s;
-            for x in 1..n {
-                let enter = (x + w) % n;
-                let leave = (x + n - w - 1) % n;
-                s += u32::from(field.get_index(row + enter) == AgentType::Plus);
-                s -= u32::from(field.get_index(row + leave) == AgentType::Plus);
-                horiz[row + x] = s;
+            let mut s: u32 = padded[..d].iter().sum();
+            sums[0] = s;
+            for (x, sum) in sums.iter_mut().enumerate().skip(1) {
+                s += padded[x + 2 * w];
+                s -= padded[x - 1];
+                *sum = s;
             }
         }
+        // row y of `plus` sums the horiz rows y - w ..= y + w (wrapped)
+        let wrap = |r: usize| if r >= n { r - n } else { r };
         let mut plus = vec![0u32; n * n];
-        for x in 0..n {
-            let mut s = 0u32;
-            for dy in 0..(2 * w + 1) {
-                let y = (dy + n - w) % n;
-                s += horiz[y * n + x];
+        for dy in 0..d {
+            let r = wrap(dy + n - w);
+            for (p, h) in plus[..n].iter_mut().zip(&horiz[r * n..][..n]) {
+                *p += h;
             }
-            plus[x] = s;
-            for y in 1..n {
-                let enter = (y + w) % n;
-                let leave = (y + n - w - 1) % n;
-                s += horiz[enter * n + x];
-                s -= horiz[leave * n + x];
-                plus[y * n + x] = s;
+        }
+        for y in 1..n {
+            let (enter, leave) = (wrap(y + w), wrap(y + n - w - 1));
+            let (done, rest) = plus.split_at_mut(y * n);
+            let (prev, cur) = (&done[(y - 1) * n..], &mut rest[..n]);
+            let (enter, leave) = (&horiz[enter * n..][..n], &horiz[leave * n..][..n]);
+            for (((c, p), e), l) in cur.iter_mut().zip(prev).zip(enter).zip(leave) {
+                *c = p + e - l;
             }
         }
         WindowCounts {
@@ -368,12 +373,18 @@ mod tests {
 
     #[test]
     fn build_matches_brute_force() {
-        let t = Torus::new(17);
+        // random sides, every horizon that fits: odd sides reach
+        // w = (n - 1) / 2, where the window spans the whole row and the
+        // padded row wraps on both ends
         let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let f = TypeField::random(t, 0.5, &mut rng);
-        for w in [0u32, 1, 2, 4, 8] {
-            let wc = WindowCounts::new(&f, w);
-            assert_eq!(wc.plus, brute_counts(&f, w), "w = {w}");
+        let mut sides: Vec<u32> = (0..12).map(|_| 3 + rng.next_below(38) as u32).collect();
+        sides.extend([3, 4, 17, 40]);
+        for n in sides {
+            let f = TypeField::random(Torus::new(n), 0.5, &mut rng);
+            for w in (0..n).take_while(|w| 2 * w < n) {
+                let wc = WindowCounts::new(&f, w);
+                assert_eq!(wc.plus, brute_counts(&f, w), "n = {n}, w = {w}");
+            }
         }
     }
 
